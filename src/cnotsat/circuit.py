@@ -378,7 +378,9 @@ def cost_model(formula: CnfFormula) -> GateCounts:
     3-SAT with m clauses.
     """
     or_path = not _is_plain_1sat(formula)
-    circuit = compile_auto(formula)
+    # Counting allocates no state, so the simulator's width cap does not apply.
+    uncapped = QubitLayout(formula.num_vars, formula.num_clauses).width
+    circuit = compile_auto(formula, width_cap=uncapped)
     mcx_by_arity, not_count = circuit_census(circuit)
 
     cnot = 0

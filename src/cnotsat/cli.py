@@ -56,7 +56,18 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
     parts = text.split(",")
     if len(parts) != 3:
         raise CliError("grid must be min,max,points")
-    return float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        return float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError as exc:
+        raise CliError(f"bad grid {text!r}: {exc}") from exc
+
+
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from exc
 
 
 def _compile(formula: cnf.CnfFormula, args) -> circ.Circuit:
@@ -71,10 +82,17 @@ def _compile(formula: cnf.CnfFormula, args) -> circ.Circuit:
         raise CliError(f"compile error: {exc}") from exc
 
 
+def _simulate(circuit: circ.Circuit, args) -> sim.PopulationState:
+    try:
+        return sim.run(circuit, width_cap=args.width_cap)
+    except ValueError as exc:
+        raise CliError(f"simulation error: {exc}") from exc
+
+
 def _solve_pipeline(formula: cnf.CnfFormula, args) -> dict:
     start = time.perf_counter()
     circuit = _compile(formula, args)
-    state = sim.run(circuit, width_cap=args.width_cap)
+    state = _simulate(circuit, args)
     report = sim.true_space(state, circuit.layout)
     summary = {
         "num_vars": formula.num_vars,
@@ -131,8 +149,7 @@ def cmd_compile(args) -> int:
     chosen = raw if args.no_peephole else cancelled
     text = circ.circuit_to_text(chosen)
     if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text)
+        _write_text(args.output, text)
     if args.json:
         _, raw_nots = circ.circuit_census(raw)
         _, opt_nots = circ.circuit_census(cancelled)
@@ -165,6 +182,8 @@ def cmd_compile(args) -> int:
 
 def cmd_spectrum(args) -> int:
     formula = _read_input(args)
+    if args.trace:
+        f_min, f_max, points = _parse_grid(args.grid)
     n = formula.num_vars
     system = _spin_system(args.spin_system, n)
     if not spec.check_resolvable(system, n, args.min_separation):
@@ -173,7 +192,7 @@ def cmd_spectrum(args) -> int:
         lines = spec.thermal_reference(system, n)
     else:
         circuit = _compile(formula, args)
-        state = sim.run(circuit, width_cap=args.width_cap)
+        state = _simulate(circuit, args)
         lines = spec.multiplet_lines(state, circuit.layout, system)
     if args.json:
         print(
@@ -190,22 +209,27 @@ def cmd_spectrum(args) -> int:
     else:
         print(spec.line_table(lines, system, n), end="")
     if args.trace:
-        f_min, f_max, points = _parse_grid(args.grid)
-        freqs, values = spec.render(lines, f_min, f_max, points, args.linewidth)
-        with open(args.trace, "w") as handle:
-            handle.write(spec.trace_csv(freqs, values))
+        try:
+            freqs, values = spec.render(lines, f_min, f_max, points, args.linewidth)
+        except ValueError as exc:
+            raise CliError(f"cannot render trace: {exc}") from exc
+        _write_text(args.trace, spec.trace_csv(freqs, values))
     return 0
 
 
 def _verify_one(formula: cnf.CnfFormula, args) -> str | None:
     """Return a mismatch description, or None when all three paths agree."""
-    oracle = tuple(a.bitstring() for a in cnf.brute_force_solutions(formula))
+    try:
+        solutions = cnf.brute_force_solutions(formula)
+    except ValueError as exc:
+        raise CliError(f"cannot verify: {exc}") from exc
+    oracle = tuple(a.bitstring() for a in solutions)
     circuit = circ.compile_formula(formula, width_cap=args.width_cap)
     if args.inject_fault:
         circuit = circ.Circuit(
             circuit.layout, circuit.gates + (circ.Not(circuit.layout.work_wire),)
         )
-    state = sim.run(circuit, width_cap=args.width_cap)
+    state = _simulate(circuit, args)
     direct = sim.true_space(state, circuit.layout).bitstrings()
     if direct != oracle:
         return f"direct readout {direct} != oracle {oracle}"
@@ -219,8 +243,9 @@ def _verify_one(formula: cnf.CnfFormula, args) -> str | None:
 
 def cmd_verify(args) -> int:
     instances: list[tuple[str, cnf.CnfFormula]] = []
-    if args.input:
-        instances.append((args.input, _read_input(args)))
+    if args.input or args.dimacs:
+        name = "--dimacs" if args.dimacs else args.input
+        instances.append((name, _read_input(args)))
     else:
         rng_seed = args.seed
         for i in range(args.corpus):
@@ -248,8 +273,7 @@ def cmd_random(args) -> int:
         raise CliError(str(exc)) from exc
     text = cnf.to_dimacs(formula)
     if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(text)
+        _write_text(args.output, text)
     else:
         print(text, end="")
     return 0

@@ -146,13 +146,12 @@ def multiplet_lines(
                     f"scratch spin {system.names[spin]} is not decoupled"
                 )
     reduced = marginalize(state, (layout.work_wire,) + layout.var_wires)
-    lines = []
-    for config in range(1 << n):
-        p_false = float(reduced.populations[config << 1])
-        p_true = float(reduced.populations[(config << 1) | 1])
-        lines.append(
-            SpectrumLine(config_frequency(system, n, config), p_false - p_true)
-        )
+    signed = np.where(reduced.indices & 1, -reduced.weights, reduced.weights)
+    amplitudes = np.bincount(reduced.indices >> 1, weights=signed, minlength=1 << n)
+    lines = [
+        SpectrumLine(config_frequency(system, n, config), float(amplitude))
+        for config, amplitude in enumerate(amplitudes)
+    ]
     return _merged(lines)
 
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cnotsat import brute_force_solutions, generate_random_ksat, to_dimacs
 from cnotsat.cli import main
 from conftest import PAPER_1SAT, PAPER_3SAT
 
@@ -46,6 +47,15 @@ class TestSolve:
         assert main(["solve", paper_file, "--uncompute"]) == 0
         assert "5 solutions" in capsys.readouterr().out
 
+    def test_width_24_via_spectrum_matches_oracle(self, capsys):
+        formula = generate_random_ksat(12, 11, 3, seed=1)
+        argv = ["solve", "--dimacs", to_dimacs(formula), "--via-spectrum", "--json"]
+        assert main(argv) == 0
+        data = json.loads(capsys.readouterr().out)
+        oracle = [a.bitstring() for a in brute_force_solutions(formula)]
+        assert data["solutions"] == data["spectral_solutions"] == oracle
+        assert data["paths_agree"] is True
+
 
 class TestCompile:
     def test_paper_counts(self, paper_file, capsys):
@@ -69,6 +79,14 @@ class TestCompile:
         out_path = tmp_path / "circuit.qbc"
         assert main(["compile", paper_file, "-o", str(out_path)]) == 0
         assert out_path.read_text().startswith("qbc 7 3 3")
+
+    @pytest.mark.parametrize("extra", [[], ["--uncompute"]])
+    def test_width_cap_above_default(self, extra, capsys):
+        text = to_dimacs(generate_random_ksat(10, 23, 3, seed=4))
+        assert main(["compile", "--dimacs", text, "--width-cap", "100"] + extra) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("qbc 34 10 23")
+        assert "elementary C-NOT: 201" in out  # 3(3m-2) at m=23
 
 
 class TestSpectrum:
@@ -154,6 +172,12 @@ class TestVerify:
         assert main(["verify", paper_file, "--inject-fault"]) == 1
         assert "FAIL" in capsys.readouterr().out
 
+    def test_inline_formula_is_checked(self, capsys):
+        assert main(["verify", "--dimacs", PAPER_3SAT]) == 0
+        assert "1/1 exact matches" in capsys.readouterr().out
+        assert main(["verify", "--dimacs", PAPER_3SAT, "--inject-fault"]) == 1
+        assert "FAIL --dimacs" in capsys.readouterr().out
+
 
 class TestRandom:
     def test_deterministic_output(self, capsys):
@@ -168,3 +192,27 @@ class TestRandom:
         assert main(["random", "3", "4", "2", "--seed", "1", "-o", str(path)]) == 0
         assert main(["solve", str(path)]) == 0
         assert "solution" in capsys.readouterr().out
+
+
+WIDE_UNIT = "p cnf 1 63\n" + "1 0\n" * 63  # width 65: past the int64 basis index
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--dimacs", PAPER_1SAT, "--trace", "{tmp}/t.csv", "--grid=a,b,c"],
+        ["spectrum", "--dimacs", PAPER_1SAT, "--trace", "{tmp}/t.csv", "--grid=1,0,9"],
+        ["compile", "--dimacs", PAPER_3SAT, "-o", "{tmp}/missing/c.qbc"],
+        ["spectrum", "--dimacs", PAPER_1SAT, "--trace", "{tmp}/missing/t.csv"],
+        ["random", "3", "2", "2", "-o", "{tmp}/missing/r.cnf"],
+        ["verify", "--dimacs", "p cnf 25 1\n1 2 0"],
+        ["solve", "--dimacs", WIDE_UNIT, "--width-cap", "100"],
+    ],
+    ids=["grid", "grid-order", "compile-o", "trace", "random-o", "verify-n25", "width-65"],
+)
+def test_failures_exit_2_with_one_line(argv, tmp_path, capsys):
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1

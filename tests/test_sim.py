@@ -24,6 +24,7 @@ from cnotsat import (
     run,
     true_space,
 )
+from cnotsat.circuit import as_permutation, gate_permutation_indices
 from cnotsat.sim import state_table
 from conftest import random_formula
 
@@ -134,7 +135,7 @@ class TestTrueSpace:
         layout = QubitLayout(1, 0)
         # weight split across two work-bit patterns for x1=0
         populations = np.array([0.25, 0.25, 0.5, 0.0])
-        state = PopulationState(2, populations)
+        state = PopulationState.from_populations(2, populations)
         with pytest.raises(PipelineFormError):
             true_space(state, layout)
 
@@ -225,3 +226,89 @@ class TestExport:
         state = initial_mixed_state(QubitLayout(1, 0))
         lines = state_table(state).splitlines()
         assert lines == ["00 0.5", "10 0.5"]
+
+
+def random_layout_circuit(seed: int, layout: QubitLayout, max_gates: int = 40):
+    rng = random.Random(seed)
+    width = layout.width
+    gates = []
+    for _ in range(rng.randint(0, max_gates)):
+        if width < 2 or rng.random() < 0.5:
+            gates.append(Not(rng.randrange(width)))
+        else:
+            target = rng.randrange(width)
+            pool = [w for w in range(width) if w != target]
+            controls = rng.sample(pool, rng.randint(1, min(3, len(pool))))
+            gates.append(Mcx(frozenset(controls), target))
+    return Circuit(layout, tuple(gates))
+
+
+def dense_run(circuit):
+    """Reference: the full 2^width population vector, moved gate by gate."""
+    layout = circuit.layout
+    populations = np.zeros(1 << layout.width)
+    populations[np.arange(1 << layout.num_vars) << 1] = 2.0**-layout.num_vars
+    basis = np.arange(1 << layout.width, dtype=np.int64)
+    for gate in circuit.gates:
+        moved = np.empty_like(populations)
+        moved[gate_permutation_indices(basis, gate)] = populations
+        populations = moved
+    return populations
+
+
+class TestSupportState:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 9999), st.integers(0, 11), st.integers(0, 11))
+    def test_run_matches_permutation_and_dense_reference(self, seed, n, m):
+        layout = QubitLayout(n, min(m, 11 - n))
+        circuit = random_layout_circuit(seed, layout)
+        initial = initial_mixed_state(layout)
+        state = run(circuit)
+        mapping = as_permutation(circuit).mapping
+        assert np.array_equal(state.indices, mapping[initial.indices])
+        assert np.array_equal(state.weights, initial.weights)
+        assert np.array_equal(state.populations, dense_run(circuit))
+
+    def test_pipeline_support_is_2_to_the_n(self, paper_3sat):
+        state = run(compile_formula(paper_3sat))
+        assert state.width == 7
+        assert state.indices.size == state.weights.size == 8
+
+    @pytest.mark.parametrize(
+        "indices, weights",
+        [
+            ([0, 2, 2], [0.25, 0.25, 0.5]),  # repeated index
+            ([0, 8], [0.5, 0.5]),  # index past 2^width
+            ([-1, 2], [0.5, 0.5]),  # negative index
+            ([0, 2], [1.5, -0.5]),  # negative weight
+            ([0, 2], [0.5, 0.25]),  # weights sum to 0.75
+            ([0, 2], [float("nan"), 1.0]),  # NaN weight
+            ([0, 2], [1.0]),  # shape mismatch
+            ([0.0, 2.0], [0.5, 0.5]),  # non-integer indices
+        ],
+    )
+    def test_construction_rejects(self, indices, weights):
+        with pytest.raises(ValueError):
+            PopulationState(3, np.array(indices), np.array(weights))
+
+    def test_from_populations_keeps_nonzero_support(self):
+        state = PopulationState.from_populations(2, [0.0, 0.25, 0.0, 0.75])
+        assert state.indices.tolist() == [1, 3]
+        assert state.weights.tolist() == [0.25, 0.75]
+        assert state.populations.tolist() == [0.0, 0.25, 0.0, 0.75]
+
+    def test_from_populations_rejects_wrong_length(self):
+        with pytest.raises(ValueError):
+            PopulationState.from_populations(2, [0.5, 0.5])
+
+    def test_marginalize_sums_points_on_one_reduced_index(self):
+        state = PopulationState(3, np.array([5, 1, 4]), np.array([0.5, 0.25, 0.25]))
+        reduced = marginalize(state, (0,))
+        assert reduced.indices.tolist() == [0, 1]
+        assert reduced.weights.tolist() == [0.25, 0.75]
+
+    def test_true_space_rejects_wrong_weight(self):
+        layout = QubitLayout(1, 0)
+        state = PopulationState(2, np.array([0, 2]), np.array([0.75, 0.25]))
+        with pytest.raises(PipelineFormError, match="assignment 0"):
+            true_space(state, layout)

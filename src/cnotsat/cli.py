@@ -48,8 +48,19 @@ def _spin_system(name: str, n: int) -> spec.SpinSystem:
             return spec.load_spin_system(handle.read())
     except OSError as exc:
         raise CliError(f"cannot load spin system {name!r}: {exc}") from exc
-    except (ValueError, KeyError) as exc:
+    except (ValueError, KeyError, TypeError) as exc:
         raise CliError(f"bad spin-system file {name!r}: {exc}") from exc
+
+
+def _require_resolvable(
+    system: spec.SpinSystem, n: int, min_separation: float
+) -> None:
+    try:
+        resolvable = spec.check_resolvable(system, n, min_separation)
+    except ValueError as exc:
+        raise CliError(f"bad --min-separation: {exc}") from exc
+    if not resolvable:
+        raise CliError("spin system is not resolvable for this formula")
 
 
 def _parse_grid(text: str) -> tuple[float, float, int]:
@@ -103,8 +114,7 @@ def _solve_pipeline(formula: cnf.CnfFormula, args) -> dict:
     }
     if args.via_spectrum:
         system = _spin_system(args.spin_system, formula.num_vars)
-        if not spec.check_resolvable(system, formula.num_vars, args.min_separation):
-            raise CliError("spin system is not resolvable for this formula")
+        _require_resolvable(system, formula.num_vars, args.min_separation)
         summary["resolvable"] = True
         lines = spec.multiplet_lines(state, circuit.layout, system)
         decoded = spec.extract_solutions(lines, system, formula.num_vars)
@@ -186,8 +196,7 @@ def cmd_spectrum(args) -> int:
         f_min, f_max, points = _parse_grid(args.grid)
     n = formula.num_vars
     system = _spin_system(args.spin_system, n)
-    if not spec.check_resolvable(system, n, args.min_separation):
-        raise CliError("spin system is not resolvable for this formula")
+    _require_resolvable(system, n, args.min_separation)
     if args.thermal:
         lines = spec.thermal_reference(system, n)
     else:

@@ -57,6 +57,17 @@ class SpinSystem:
             for j in range(size):
                 if self.couplings[i][j] != self.couplings[j][i]:
                     raise ValueError("coupling table is not symmetric")
+        for role, spins in (
+            ("observed", (self.observed,)),
+            ("variable", self.qubit_spins),
+            ("decoupled", sorted(self.decoupled)),
+            ("scratch", self.scratch_spins),
+        ):
+            for spin in spins:
+                if not 0 <= spin < size:
+                    raise ValueError(
+                        f"{role} spin index {spin} out of range for {size} spins"
+                    )
         if self.observed in self.decoupled:
             raise ValueError("observed spin cannot be decoupled")
         if self.observed in self.qubit_spins:
@@ -76,13 +87,6 @@ class SpectrumLine:
 
     frequency: float
     amplitude: float
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    lines: tuple[SpectrumLine, ...]
-    linewidth: float | None = None
-    trace: tuple[np.ndarray, np.ndarray] | None = None
 
 
 def _check_variable_spins(system: SpinSystem, n: int) -> None:
@@ -112,6 +116,76 @@ def config_frequency(system: SpinSystem, n: int, config: int) -> float:
         j = system.j_to_observed(system.qubit_spins[i])
         freq += (0.5 if not (config >> i) & 1 else -0.5) * j
     return freq
+
+
+def config_frequencies(system: SpinSystem, n: int) -> np.ndarray:
+    """Line positions of all 2^n configurations, indexed by configuration.
+
+    Adds the same terms in the same order as config_frequency, so entry c
+    equals config_frequency(system, n, c) exactly.
+    """
+    configs = np.arange(1 << n)
+    freqs = np.full(1 << n, system.shifts[system.observed], dtype=float)
+    for i in range(n):
+        j = system.j_to_observed(system.qubit_spins[i])
+        freqs += np.where((configs >> i) & 1, -0.5, 0.5) * j
+    return freqs
+
+
+def _gaps(freqs: np.ndarray) -> np.ndarray:
+    """Distances between neighbouring configuration lines."""
+    ordered = np.sort(freqs)
+    return ordered[1:] - ordered[:-1]
+
+
+def _default_tolerance(freqs: np.ndarray) -> float:
+    gaps = _gaps(freqs)
+    min_gap = float(gaps.min()) if gaps.size else 1.0
+    return min(1.0, min_gap / 4.0)
+
+
+def _match(
+    config_freqs: np.ndarray, line_freqs: np.ndarray, tolerance: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Place every line among the configurations, in O((2^n + lines) log 2^n).
+
+    Returns (config, hits) per line at x: hits counts the configurations c
+    with abs(config_freqs[c] - x) <= tolerance, and config is one of them
+    (meaningful when hits == 1).  fl(f - x) is monotone in f, so those
+    configurations form one run of the sorted positions.  searchsorted
+    finds it from the rounded x -/+ tolerance, which can be off by a
+    rounding step at either end; each end is then moved, one run of equal
+    positions at a time, until the exact test holds just inside the window
+    and fails just outside it.
+    """
+    order = np.argsort(config_freqs, kind="stable")
+    ordered = config_freqs[order]
+    # A NaN on each side is never a hit, so positions -1 and 2^n need no
+    # bounds checks: padded[at + 1] is ordered[at].
+    padded = np.concatenate(([np.nan], ordered, [np.nan]))
+
+    def hit(at):
+        return np.abs(padded[at + 1] - line_freqs) <= tolerance
+
+    def run_edge(at, side):
+        return np.searchsorted(ordered, padded[at + 1], side)
+
+    with np.errstate(invalid="ignore", over="ignore"):
+        below = line_freqs - tolerance
+        # a line at +inf with an infinite tolerance: +inf - inf is NaN, which
+        # searchsorted would place after every position
+        below[(line_freqs == np.inf) & (tolerance == np.inf)] = -np.inf
+        lo = np.searchsorted(ordered, below, "left")
+        hi = np.searchsorted(ordered, line_freqs + tolerance, "right")
+        while (grow := hit(lo - 1)).any():
+            lo = np.where(grow, run_edge(lo - 1, "left"), lo)
+        while (grow := hit(hi)).any():
+            hi = np.where(grow, run_edge(hi, "right"), hi)
+        while (drop := (lo < hi) & ~hit(lo)).any():
+            lo = np.where(drop, run_edge(lo, "right"), lo)
+        while (drop := (lo < hi) & ~hit(hi - 1)).any():
+            hi = np.where(drop, run_edge(hi - 1, "left"), hi)
+    return order[np.minimum(lo, ordered.size - 1)], hi - lo
 
 
 def _merged(lines: list[SpectrumLine]) -> tuple[SpectrumLine, ...]:
@@ -149,8 +223,10 @@ def multiplet_lines(
     signed = np.where(reduced.indices & 1, -reduced.weights, reduced.weights)
     amplitudes = np.bincount(reduced.indices >> 1, weights=signed, minlength=1 << n)
     lines = [
-        SpectrumLine(config_frequency(system, n, config), float(amplitude))
-        for config, amplitude in enumerate(amplitudes)
+        SpectrumLine(frequency, amplitude)
+        for frequency, amplitude in zip(
+            config_frequencies(system, n).tolist(), amplitudes.tolist()
+        )
     ]
     return _merged(lines)
 
@@ -162,8 +238,8 @@ def thermal_reference(system: SpinSystem, n: int) -> tuple[SpectrumLine, ...]:
     """
     _check_variable_spins(system, n)
     lines = [
-        SpectrumLine(config_frequency(system, n, config), 2.0**-n)
-        for config in range(1 << n)
+        SpectrumLine(frequency, 2.0**-n)
+        for frequency in config_frequencies(system, n).tolist()
     ]
     return _merged(lines)
 
@@ -184,9 +260,16 @@ def render(
         raise ValueError("linewidth must be positive")
     freqs = np.linspace(f_min, f_max, points)
     values = np.zeros_like(freqs)
+    term = np.empty_like(freqs)
     lw2 = linewidth**2
+    # One line at a time through one buffer: a lines x points block was no
+    # faster and multiplies peak memory.
     for line in lines:
-        values += line.amplitude * lw2 / (lw2 + (freqs - line.frequency) ** 2)
+        np.subtract(freqs, line.frequency, out=term)
+        np.multiply(term, term, out=term)
+        np.add(term, lw2, out=term)
+        np.divide(line.amplitude * lw2, term, out=term)
+        np.add(values, term, out=values)
     return freqs, values
 
 
@@ -200,15 +283,12 @@ def check_resolvable(
         _check_variable_spins(system, n)
     except SpinSystemError:
         return False
-    freqs = sorted(config_frequency(system, n, c) for c in range(1 << n))
-    return all(b - a >= min_separation for a, b in zip(freqs, freqs[1:]))
+    gaps = _gaps(config_frequencies(system, n))
+    return gaps.size == 0 or bool(gaps.min() >= min_separation)
 
 
 def default_match_tolerance(system: SpinSystem, n: int) -> float:
-    freqs = sorted(config_frequency(system, n, c) for c in range(1 << n))
-    gaps = [b - a for a, b in zip(freqs, freqs[1:])]
-    min_gap = min(gaps) if gaps else 1.0
-    return min(1.0, min_gap / 4.0)
+    return _default_tolerance(config_frequencies(system, n))
 
 
 def extract_solutions(
@@ -220,49 +300,50 @@ def extract_solutions(
     """Invert the frequency map: negative lines decode to the TRUE space.
 
     Fails on degenerate multiplets (two configurations within tolerance of
-    one line) and on lines matching no configuration.
+    one line), on lines matching no configuration, on a configuration
+    matched by two lines and on a spectrum missing a configuration.  Of
+    several faulty lines, the first in input order is reported.
     """
     _check_variable_spins(system, n)
+    config_freqs = config_frequencies(system, n)
     if tolerance is None:
-        tolerance = default_match_tolerance(system, n)
+        tolerance = _default_tolerance(config_freqs)
     if tolerance <= 0:
         raise DegenerateMultipletError(
             "coinciding configuration frequencies; multiplet not decodable"
         )
-    config_freqs = [config_frequency(system, n, c) for c in range(1 << n)]
-    true_list: list[Assignment] = []
-    false_list: list[Assignment] = []
-    matched: set[int] = set()
-    for line in lines:
-        hits = [
-            c
-            for c, f in enumerate(config_freqs)
-            if abs(f - line.frequency) <= tolerance
-        ]
-        if not hits:
+    line_freqs = np.array([line.frequency for line in lines], dtype=float)
+    configs, hits = _match(config_freqs, line_freqs, tolerance)
+    # Report the first faulty line in input order: no hit, several hits, or
+    # a configuration that an earlier line already took.
+    faulty = hits != 1
+    unique = np.flatnonzero(~faulty)
+    by_config = unique[np.argsort(configs[unique], kind="stable")]
+    repeated = configs[by_config[1:]] == configs[by_config[:-1]]
+    faulty[by_config[1:][repeated]] = True
+    if faulty.any():
+        first = int(np.argmax(faulty))
+        frequency = lines[first].frequency
+        if hits[first] == 0:
             raise SpinSystemError(
-                f"line at {line.frequency:g} Hz matches no configuration"
+                f"line at {frequency:g} Hz matches no configuration"
             )
-        if len(hits) > 1:
+        if hits[first] > 1:
             raise DegenerateMultipletError(
-                f"line at {line.frequency:g} Hz matches {len(hits)} configurations"
+                f"line at {frequency:g} Hz matches {hits[first]} configurations"
             )
-        config = hits[0]
-        if config in matched:
-            raise SpinSystemError(
-                f"configuration {config:0{n}b} matched by two lines"
-            )
-        matched.add(config)
-        assignment = Assignment.from_index(config, n)
-        if line.amplitude < 0:
-            true_list.append(assignment)
-        else:
-            false_list.append(assignment)
-    if len(matched) != 1 << n:
+        raise SpinSystemError(
+            f"configuration {int(configs[first]):0{n}b} matched by two lines"
+        )
+    if len(lines) != 1 << n:
         raise SpinSystemError("spectrum does not cover every configuration")
-    true_list.sort(key=lambda a: a.index)
-    false_list.sort(key=lambda a: a.index)
-    return SolutionReport(tuple(true_list), tuple(false_list))
+    satisfying = np.zeros(1 << n, dtype=bool)
+    satisfying[configs] = [line.amplitude < 0 for line in lines]
+
+    def assignments(mask: np.ndarray) -> tuple[Assignment, ...]:
+        return tuple(Assignment.from_index(c, n) for c in np.flatnonzero(mask).tolist())
+
+    return SolutionReport(assignments(satisfying), assignments(~satisfying))
 
 
 # -- built-in systems --------------------------------------------------------
@@ -329,12 +410,16 @@ def load_spin_system(text: str) -> SpinSystem:
     be referenced by name or index.
     """
     data = json.loads(text)
+    if not isinstance(data, dict):
+        raise ValueError("spin system must be a JSON object")
     names = tuple(data["names"])
 
     def spin_index(ref) -> int:
         if isinstance(ref, str):
             return names.index(ref)
-        return int(ref)
+        if isinstance(ref, int) and not isinstance(ref, bool):
+            return ref
+        raise ValueError(f"spin reference {ref!r} is neither a name nor an index")
 
     return SpinSystem(
         names=names,
@@ -350,22 +435,24 @@ def load_spin_system(text: str) -> SpinSystem:
 def line_table(
     lines: tuple[SpectrumLine, ...], system: SpinSystem, n: int
 ) -> str:
-    """Text table: frequency, amplitude, decoded x_n..x_1 bitstring."""
-    tolerance = default_match_tolerance(system, n)
-    config_freqs = [config_frequency(system, n, c) for c in range(1 << n)]
+    """Text table: frequency, amplitude, decoded x_n..x_1 bitstring.
+
+    A line that does not match exactly one configuration is labelled "?".
+    """
+    config_freqs = config_frequencies(system, n)
+    ordered = sorted(lines, key=lambda l: l.frequency)
+    configs, hits = _match(
+        config_freqs,
+        np.array([line.frequency for line in ordered], dtype=float),
+        _default_tolerance(config_freqs),
+    )
     rows = []
-    for line in sorted(lines, key=lambda l: l.frequency):
-        hits = [
-            c
-            for c, f in enumerate(config_freqs)
-            if abs(f - line.frequency) <= tolerance
-        ]
-        label = (
-            Assignment.from_index(hits[0], n).bitstring() if len(hits) == 1 else "?"
-        )
+    for line, config, count in zip(ordered, configs.tolist(), hits.tolist()):
+        label = Assignment.from_index(config, n).bitstring() if count == 1 else "?"
         rows.append(f"{line.frequency:12.4f} {line.amplitude:+.6f} {label}")
     return "\n".join(rows) + "\n"
 
 
 def trace_csv(freqs: np.ndarray, values: np.ndarray) -> str:
-    return "\n".join(f"{f:.6f},{v:.9g}" for f, v in zip(freqs, values)) + "\n"
+    pairs = zip(map(float, freqs), map(float, values))
+    return "\n".join(f"{f:.6f},{v:.9g}" for f, v in pairs) + "\n"

@@ -195,6 +195,23 @@ class TestRandom:
 
 
 WIDE_UNIT = "p cnf 1 63\n" + "1 0\n" * 63  # width 65: past the int64 basis index
+TWO_VARS = "p cnf 2 1\n1 -2 0\n"
+SPIN_BASE = {  # resolvable for TWO_VARS; the observed spin is the last one
+    "names": ["A", "B", "W"],
+    "shifts": [0.0, 0.0, 0.0],
+    "observed": "W",
+    "couplings": [[0, 0, 20], [0, 0, 30], [20, 30, 0]],
+    "variable_qubits": ["A", "B"],
+}
+BAD_SPIN_FILES = {
+    "observed-5": {**SPIN_BASE, "observed": 5},
+    "observed-neg": {**SPIN_BASE, "observed": -1},
+    "qubit-7": {**SPIN_BASE, "variable_qubits": ["A", 7]},
+    "observed-null": {**SPIN_BASE, "observed": None},
+    "observed-float": {**SPIN_BASE, "observed": 2.9},
+    "names-int": {**SPIN_BASE, "names": 3},
+    "list": [SPIN_BASE],
+}
 
 
 @pytest.mark.parametrize(
@@ -207,10 +224,29 @@ WIDE_UNIT = "p cnf 1 63\n" + "1 0\n" * 63  # width 65: past the int64 basis inde
         ["random", "3", "2", "2", "-o", "{tmp}/missing/r.cnf"],
         ["verify", "--dimacs", "p cnf 25 1\n1 2 0"],
         ["solve", "--dimacs", WIDE_UNIT, "--width-cap", "100"],
+        *(
+            ["spectrum", "--dimacs", TWO_VARS, "--spin-system", f"{{tmp}}/{name}.json"]
+            for name in BAD_SPIN_FILES
+        ),
+        ["solve", "--dimacs", PAPER_3SAT, "--via-spectrum", "--min-separation", "0"],
+        ["spectrum", "--dimacs", PAPER_3SAT, "--min-separation=-1"],
     ],
-    ids=["grid", "grid-order", "compile-o", "trace", "random-o", "verify-n25", "width-65"],
+    ids=[
+        "grid",
+        "grid-order",
+        "compile-o",
+        "trace",
+        "random-o",
+        "verify-n25",
+        "width-65",
+        *(f"spin-{name}" for name in BAD_SPIN_FILES),
+        "solve-min-sep-0",
+        "spectrum-min-sep-neg",
+    ],
 )
 def test_failures_exit_2_with_one_line(argv, tmp_path, capsys):
+    for name, doc in BAD_SPIN_FILES.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     assert main(argv) == 2
     err = capsys.readouterr().err

@@ -2,10 +2,13 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cnotsat import (
+    Assignment,
     DegenerateMultipletError,
     QubitLayout,
+    SolutionReport,
     SpectrumLine,
     SpinSystem,
     SpinSystemError,
@@ -25,7 +28,13 @@ from cnotsat import (
     synthetic_system,
     thermal_reference,
 )
-from cnotsat.spectrum import config_frequency, default_match_tolerance, line_table
+from cnotsat.spectrum import (
+    _check_variable_spins,
+    config_frequencies,
+    config_frequency,
+    default_match_tolerance,
+    line_table,
+)
 
 ALANINE_3Q_FREQS = sorted([-44.375, -9.435, 9.435, 44.375])
 ALANINE_4Q_FREQS = sorted(
@@ -297,3 +306,212 @@ class TestSpinSystemIO:
         negative_rows = [row for row in table.splitlines() if "-0.125" in row]
         assert len(negative_rows) == 1
         assert negative_rows[0].endswith("110")
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("observed", 3),
+        ("observed", -1),
+        ("qubit_spins", (1, 7)),
+        ("qubit_spins", (-2,)),
+        ("decoupled", frozenset({5})),
+        ("scratch_spins", (3,)),
+    ],
+)
+def test_spin_index_out_of_range_rejected(field, value):
+    fields = dict(
+        names=("W", "A", "B"),
+        shifts=(0.0, 0.0, 0.0),
+        observed=0,
+        couplings=((0.0, 20.0, 30.0), (20.0, 0.0, 0.0), (30.0, 0.0, 0.0)),
+        qubit_spins=(1, 2),
+    )
+    fields[field] = value
+    with pytest.raises(ValueError, match="out of range"):
+        SpinSystem(**fields)
+
+
+# -- the sorted matcher against the all-pairs loop it replaced ---------------
+
+
+def reference_tolerance(system, n):
+    freqs = sorted(config_frequency(system, n, c) for c in range(1 << n))
+    gaps = [b - a for a, b in zip(freqs, freqs[1:])]
+    min_gap = min(gaps) if gaps else 1.0
+    return min(1.0, min_gap / 4.0)
+
+
+def reference_extract(lines, system, n, tolerance=None):
+    """The O(4^n) decode loop: every line against every configuration."""
+    _check_variable_spins(system, n)
+    if tolerance is None:
+        tolerance = reference_tolerance(system, n)
+    if tolerance <= 0:
+        raise DegenerateMultipletError(
+            "coinciding configuration frequencies; multiplet not decodable"
+        )
+    config_freqs = [config_frequency(system, n, c) for c in range(1 << n)]
+    true_list, false_list, matched = [], [], set()
+    for line in lines:
+        hits = [
+            c
+            for c, f in enumerate(config_freqs)
+            if abs(f - line.frequency) <= tolerance
+        ]
+        if not hits:
+            raise SpinSystemError(
+                f"line at {line.frequency:g} Hz matches no configuration"
+            )
+        if len(hits) > 1:
+            raise DegenerateMultipletError(
+                f"line at {line.frequency:g} Hz matches {len(hits)} configurations"
+            )
+        config = hits[0]
+        if config in matched:
+            raise SpinSystemError(f"configuration {config:0{n}b} matched by two lines")
+        matched.add(config)
+        assignment = Assignment.from_index(config, n)
+        (true_list if line.amplitude < 0 else false_list).append(assignment)
+    if len(matched) != 1 << n:
+        raise SpinSystemError("spectrum does not cover every configuration")
+    true_list.sort(key=lambda a: a.index)
+    false_list.sort(key=lambda a: a.index)
+    return SolutionReport(tuple(true_list), tuple(false_list))
+
+
+def reference_line_table(lines, system, n):
+    tolerance = reference_tolerance(system, n)
+    config_freqs = [config_frequency(system, n, c) for c in range(1 << n)]
+    rows = []
+    for line in sorted(lines, key=lambda l: l.frequency):
+        hits = [
+            c
+            for c, f in enumerate(config_freqs)
+            if abs(f - line.frequency) <= tolerance
+        ]
+        label = (
+            Assignment.from_index(hits[0], n).bitstring() if len(hits) == 1 else "?"
+        )
+        rows.append(f"{line.frequency:12.4f} {line.amplitude:+.6f} {label}")
+    return "\n".join(rows) + "\n"
+
+
+def outcome(decode, *args, **kwargs):
+    try:
+        return ("ok", decode(*args, **kwargs))
+    except Exception as exc:  # compared by type and message
+        return ("error", type(exc), str(exc))
+
+
+# Repeated couplings (and sums of them) make degenerate multiplets; zero fails
+# the coupling check.
+COUPLINGS = st.one_of(
+    st.sampled_from([20.0, 40.0, 13.7, -41.3, 0.1, 0.0]),
+    st.floats(-200.0, 200.0, allow_nan=False),
+)
+OFFSETS = ("exact", "+tol", "-tol", "+tol+ulp", "+tol-ulp", "-tol+ulp", "-tol-ulp")
+
+
+@st.composite
+def spin_systems(draw, max_n=6):
+    n = draw(st.integers(0, max_n))
+    js = draw(st.lists(COUPLINGS, min_size=n, max_size=n))
+    names = ("W",) + tuple(f"S{i}" for i in range(1, n + 1))
+    couplings = [[0.0] * (n + 1) for _ in range(n + 1)]
+    for i, j in enumerate(js, start=1):
+        couplings[0][i] = couplings[i][0] = j
+    shift = draw(st.floats(-500.0, 500.0, allow_nan=False))
+    system = SpinSystem(
+        names=names,
+        shifts=(shift,) + (0.0,) * n,
+        observed=0,
+        couplings=tuple(tuple(row) for row in couplings),
+        qubit_spins=tuple(range(1, n + 1)),
+    )
+    return system, n
+
+
+@st.composite
+def decode_cases(draw):
+    system, n = draw(spin_systems())
+    freqs = [config_frequency(system, n, c) for c in range(1 << n)]
+    gaps = [abs(b - a) for a in freqs for b in freqs if b != a]
+    tolerance = draw(
+        st.one_of(
+            st.none(),
+            st.sampled_from(gaps).map(lambda g: g / 2) if gaps else st.none(),
+            st.floats(1e-6, 100.0),
+        )
+    )
+    tol = reference_tolerance(system, n) if tolerance is None else tolerance
+    lines = []
+    for f in freqs:
+        offset = draw(st.sampled_from(OFFSETS))
+        x = f
+        if offset != "exact":
+            x = f + tol if offset.startswith("+") else f - tol
+            if offset.endswith("ulp"):
+                x = float(np.nextafter(x, np.inf if offset[4] == "+" else -np.inf))
+        amplitude = draw(st.sampled_from([2.0**-n, -(2.0**-n)]))
+        lines.append(SpectrumLine(x, amplitude))
+    lines = draw(st.permutations(lines))
+    edit = draw(st.sampled_from(["none", "drop", "duplicate"]))
+    if edit != "none" and lines:
+        i = draw(st.integers(0, len(lines) - 1))
+        if edit == "drop":
+            lines = lines[:i] + lines[i + 1 :]
+        else:
+            copy = lines[draw(st.integers(0, len(lines) - 1))]
+            lines = lines[:i] + [copy] + lines[i:]
+    return system, n, tuple(lines), tolerance
+
+
+class TestSortedMatcher:
+    @settings(max_examples=300, deadline=None)
+    @given(decode_cases())
+    def test_decode_and_table_match_all_pairs_loop(self, case):
+        system, n, lines, tolerance = case
+        assert outcome(
+            extract_solutions, lines, system, n, tolerance=tolerance
+        ) == outcome(reference_extract, lines, system, n, tolerance=tolerance)
+        assert outcome(line_table, lines, system, n) == outcome(
+            reference_line_table, lines, system, n
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(spin_systems(max_n=8))
+    def test_config_frequencies_equal_scalar_exactly(self, case):
+        system, n = case
+        assert config_frequencies(system, n).tolist() == [
+            config_frequency(system, n, c) for c in range(1 << n)
+        ]
+
+    def test_zero_tolerance_counts_only_equal_positions(self):
+        system = SpinSystem(
+            names=("W", "A", "B"),
+            shifts=(0.0, 0.0, 0.0),
+            observed=0,
+            couplings=((0.0, 20.0, 20.0), (20.0, 0.0, 0.0), (20.0, 0.0, 0.0)),
+            qubit_spins=(1, 2),
+        )
+        assert default_match_tolerance(system, 2) == 0.0
+        lines = (
+            SpectrumLine(0.0, 0.5),
+            SpectrumLine(20.0, 0.25),
+            SpectrumLine(20.0 + 1e-12, 0.25),
+        )
+        table = line_table(lines, system, 2)
+        labels = [row.split()[-1] for row in table.splitlines()]
+        assert labels == ["?", "00", "?"]
+
+    @settings(max_examples=50, deadline=None)
+    @given(decode_cases())
+    def test_render_equals_per_line_sum(self, case):
+        _, _, lines, _ = case
+        freqs, values = render(lines, -600.0, 600.0, 997, linewidth=1.5)
+        expected = np.zeros_like(freqs)
+        lw2 = 1.5**2
+        for line in lines:
+            expected += line.amplitude * lw2 / (lw2 + (freqs - line.frequency) ** 2)
+        assert np.array_equal(values, expected)

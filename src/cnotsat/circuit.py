@@ -103,9 +103,12 @@ class Circuit:
     gates: tuple[Gate, ...]
 
     def __post_init__(self) -> None:
+        width = self.layout.width
         for gate in self.gates:
-            if max(gate_wires(gate)) >= self.layout.width:
-                raise ValueError(f"gate {gate} exceeds width {self.layout.width}")
+            if gate.target >= width or (
+                isinstance(gate, Mcx) and max(gate.controls) >= width
+            ):
+                raise ValueError(f"gate {gate} exceeds width {width}")
 
 
 def compile_clause(
@@ -130,10 +133,11 @@ def compile_clause(
     return layer + (Mcx(frozenset(all_wires), scratch),) + layer + (Not(scratch),)
 
 
-def compile_formula(formula: CnfFormula, width_cap: int = 24) -> Circuit:
-    """General path: one clause block per clause, then an MCX from all scratch
-    wires onto the work wire.  Maps |x>|0>|0..0> to |x>|F(x)>|C_m(x)..C_1(x)>.
-    """
+def _clause_blocks(
+    formula: CnfFormula, width_cap: int
+) -> tuple[QubitLayout, list[tuple[Gate, ...]]]:
+    """Check the formula for the general path and return its layout and its
+    clause blocks, block mu computing clause mu onto scratch wire mu."""
     m = formula.num_clauses
     if m == 0:
         raise CompileError("empty formula has no circuit form")
@@ -143,10 +147,24 @@ def compile_formula(formula: CnfFormula, width_cap: int = 24) -> Circuit:
     layout = QubitLayout(formula.num_vars, m)
     if layout.width > width_cap:
         raise CompileError(f"width {layout.width} exceeds cap {width_cap}")
-    gates: list[Gate] = []
-    for mu, clause in enumerate(formula.clauses, start=1):
-        gates.extend(compile_clause(clause, layout, mu))
-    gates.append(Mcx(frozenset(layout.scratch_wires), layout.work_wire))
+    blocks = [
+        compile_clause(clause, layout, mu)
+        for mu, clause in enumerate(formula.clauses, start=1)
+    ]
+    return layout, blocks
+
+
+def _final_and(layout: QubitLayout) -> Mcx:
+    return Mcx(frozenset(layout.scratch_wires), layout.work_wire)
+
+
+def compile_formula(formula: CnfFormula, width_cap: int = 24) -> Circuit:
+    """General path: one clause block per clause, then an MCX from all scratch
+    wires onto the work wire.  Maps |x>|0>|0..0> to |x>|F(x)>|C_m(x)..C_1(x)>.
+    """
+    layout, blocks = _clause_blocks(formula, width_cap)
+    gates = [gate for block in blocks for gate in block]
+    gates.append(_final_and(layout))
     return Circuit(layout, tuple(gates))
 
 
@@ -200,33 +218,28 @@ def compile_single_clause(clause: Clause, num_vars: int) -> Circuit:
 def peephole_cancel(circuit: Circuit) -> Circuit:
     """Remove NOT pairs on the same wire with no intervening gate on that wire.
 
-    Deterministic left-to-right sweep repeated to a fixpoint; never changes
-    the circuit's permutation.
+    One left-to-right pass.  `pending` maps a wire to the output slot of a
+    NOT that no later gate has touched yet; the next NOT on that wire blanks
+    the slot and is dropped, and an MCX clears its wires.  On each wire every
+    run of NOTs between two MCX gates is thus reduced modulo 2, keeping the
+    run's last NOT when it is odd.  Never changes the circuit's permutation.
     """
-    gates = list(circuit.gates)
-    changed = True
-    while changed:
-        changed = False
-        i = 0
-        while i < len(gates):
-            gate = gates[i]
-            removed = False
-            if isinstance(gate, Not):
-                for j in range(i + 1, len(gates)):
-                    other = gates[j]
-                    if gate.target not in gate_wires(other):
-                        continue
-                    if isinstance(other, Not):
-                        del gates[j]
-                        del gates[i]
-                        removed = True
-                        changed = True
-                    break
-            if not removed:
-                i += 1
-            elif i > 0:
-                i -= 1
-    return Circuit(circuit.layout, tuple(gates))
+    out: list[Gate | None] = []
+    pending: dict[int, int] = {}
+    for gate in circuit.gates:
+        if isinstance(gate, Not):
+            slot = pending.pop(gate.target, None)
+            if slot is None:
+                pending[gate.target] = len(out)
+                out.append(gate)
+            else:
+                out[slot] = None
+        else:
+            pending.pop(gate.target, None)
+            for control in gate.controls:
+                pending.pop(control, None)
+            out.append(gate)
+    return Circuit(circuit.layout, tuple(gate for gate in out if gate is not None))
 
 
 def append_uncompute(circuit: Circuit, formula: CnfFormula) -> Circuit:
@@ -235,13 +248,12 @@ def append_uncompute(circuit: Circuit, formula: CnfFormula) -> Circuit:
     Each clause block is its own inverse, so the appended tail undoes the
     scratch computation while the copied work-bit result survives.
     """
-    expected = compile_formula(formula, width_cap=circuit.layout.width)
-    if expected.layout != circuit.layout or expected.gates != circuit.gates:
+    layout, blocks = _clause_blocks(formula, width_cap=circuit.layout.width)
+    forward = [gate for block in blocks for gate in block] + [_final_and(layout)]
+    if layout != circuit.layout or tuple(forward) != circuit.gates:
         raise CompileError("circuit was not produced by compile_formula(formula)")
-    tail: list[Gate] = []
-    for mu in range(formula.num_clauses, 0, -1):
-        tail.extend(compile_clause(formula.clauses[mu - 1], circuit.layout, mu))
-    return Circuit(circuit.layout, circuit.gates + tuple(tail))
+    tail = tuple(gate for block in reversed(blocks) for gate in block)
+    return Circuit(circuit.layout, circuit.gates + tail)
 
 
 def _is_plain_1sat(formula: CnfFormula) -> bool:

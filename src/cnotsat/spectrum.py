@@ -406,13 +406,21 @@ def load_spin_system(text: str) -> SpinSystem:
     """Load a SpinSystem from a JSON document.
 
     Keys: names, shifts, couplings (full symmetric matrix), observed,
-    variable_qubits, and optionally decoupled / scratch_qubits.  Spins may
-    be referenced by name or index.
+    variable_qubits, and optionally decoupled / scratch_qubits.  Every key
+    but observed holds a JSON list (couplings a list of row lists).  Spins
+    may be referenced by name or index.
     """
     data = json.loads(text)
     if not isinstance(data, dict):
         raise ValueError("spin system must be a JSON object")
-    names = tuple(data["names"])
+
+    def json_list(key: str, value) -> list:
+        if not isinstance(value, list):
+            kind = type(value).__name__
+            raise ValueError(f"{key!r} must be a JSON list, not {kind}")
+        return value
+
+    names = tuple(json_list("names", data["names"]))
 
     def spin_index(ref) -> int:
         if isinstance(ref, str):
@@ -421,14 +429,20 @@ def load_spin_system(text: str) -> SpinSystem:
             return ref
         raise ValueError(f"spin reference {ref!r} is neither a name nor an index")
 
+    def spin_indices(key: str, refs) -> tuple[int, ...]:
+        return tuple(spin_index(r) for r in json_list(key, refs))
+
     return SpinSystem(
         names=names,
-        shifts=tuple(float(s) for s in data["shifts"]),
+        shifts=tuple(float(s) for s in json_list("shifts", data["shifts"])),
         observed=spin_index(data["observed"]),
-        couplings=tuple(tuple(float(j) for j in row) for row in data["couplings"]),
-        qubit_spins=tuple(spin_index(r) for r in data["variable_qubits"]),
-        decoupled=frozenset(spin_index(r) for r in data.get("decoupled", ())),
-        scratch_spins=tuple(spin_index(r) for r in data.get("scratch_qubits", ())),
+        couplings=tuple(
+            tuple(float(j) for j in json_list(f"couplings[{i}]", row))
+            for i, row in enumerate(json_list("couplings", data["couplings"]))
+        ),
+        qubit_spins=spin_indices("variable_qubits", data["variable_qubits"]),
+        decoupled=frozenset(spin_indices("decoupled", data.get("decoupled", []))),
+        scratch_spins=spin_indices("scratch_qubits", data.get("scratch_qubits", [])),
     )
 
 

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cnotsat import (
     Assignment,
@@ -28,7 +28,12 @@ from cnotsat import (
     parse_dimacs,
     peephole_cancel,
 )
-from cnotsat.circuit import circuit_census, circuit_from_dict, circuit_to_dict
+from cnotsat.circuit import (
+    circuit_census,
+    circuit_from_dict,
+    circuit_to_dict,
+    gate_wires,
+)
 from conftest import random_formula
 
 
@@ -43,6 +48,53 @@ def random_circuit(seed: int, width: int = 8, max_gates: int = 50) -> Circuit:
             pool = [w for w in range(width) if w != target]
             controls = rng.sample(pool, rng.randint(1, min(3, len(pool))))
             gates.append(Mcx(frozenset(controls), target))
+    return Circuit(QubitLayout(width - 1, 0), tuple(gates))
+
+
+def fixpoint_sweep(circuit: Circuit) -> Circuit:
+    """Reference for peephole_cancel: pair each NOT with the next gate on its
+    wire, delete both when that gate is a NOT, and sweep again until nothing
+    changes."""
+    gates = list(circuit.gates)
+    changed = True
+    while changed:
+        changed = False
+        i = 0
+        while i < len(gates):
+            gate = gates[i]
+            removed = False
+            if isinstance(gate, Not):
+                for j in range(i + 1, len(gates)):
+                    other = gates[j]
+                    if gate.target not in gate_wires(other):
+                        continue
+                    if isinstance(other, Not):
+                        del gates[j]
+                        del gates[i]
+                        removed = True
+                        changed = True
+                    break
+            if not removed:
+                i += 1
+            elif i > 0:
+                i -= 1
+    return Circuit(circuit.layout, tuple(gates))
+
+
+@st.composite
+def not_run_circuits(draw) -> Circuit:
+    """Interleaved NOT runs on at most five wires, separated by MCX barriers."""
+    width = draw(st.integers(1, 5))
+    gates = []
+    for _ in range(draw(st.integers(0, 8))):
+        if width > 1 and draw(st.booleans()):
+            target = draw(st.integers(0, width - 1))
+            pool = [w for w in range(width) if w != target]
+            controls = draw(st.sets(st.sampled_from(pool), min_size=1))
+            gates.append(Mcx(frozenset(controls), target))
+        else:
+            wires = draw(st.lists(st.integers(0, width - 1), max_size=12))
+            gates.extend(Not(w) for w in wires)
     return Circuit(QubitLayout(width - 1, 0), tuple(gates))
 
 
@@ -294,6 +346,26 @@ class TestPeephole:
         assert len(optimized.gates) <= len(circuit.gates)
         assert as_permutation(optimized) == as_permutation(circuit)
 
+    @settings(max_examples=300, deadline=None)
+    @given(not_run_circuits())
+    @example(Circuit(QubitLayout(0, 0), ()))
+    def test_matches_fixpoint_sweep(self, circuit):
+        assert peephole_cancel(circuit) == fixpoint_sweep(circuit)
+
+    def test_wide_uncomputed_circuit(self):
+        formula = generate_random_ksat(30, 250, 3, seed=5)
+        width = QubitLayout(30, 250).width
+        uncomputed = append_uncompute(compile_formula(formula, width), formula)
+        optimized = peephole_cancel(uncomputed)
+        assert optimized == fixpoint_sweep(uncomputed)
+        assert peephole_cancel(optimized) == optimized
+        last_was_not: dict[int, bool] = {}
+        for gate in optimized.gates:
+            is_not = isinstance(gate, Not)
+            for wire in gate_wires(gate):
+                assert not (is_not and last_was_not.get(wire, False))
+                last_was_not[wire] = is_not
+
 
 class TestUncompute:
     def test_scratch_cleared(self, paper_3sat):
@@ -319,6 +391,18 @@ class TestUncompute:
     def test_mismatch_rejected(self, paper_3sat, paper_1sat):
         with pytest.raises(CompileError):
             append_uncompute(compile_formula(paper_3sat), paper_1sat)
+
+    def test_peepholed_circuit_rejected(self, paper_3sat):
+        circuit = peephole_cancel(compile_formula(paper_3sat))
+        with pytest.raises(CompileError, match="not produced by compile_formula"):
+            append_uncompute(circuit, paper_3sat)
+
+    def test_other_variable_count_rejected(self, paper_3sat):
+        wider = CnfFormula(paper_3sat.num_vars + 1, paper_3sat.clauses)
+        with pytest.raises(CompileError, match="not produced by compile_formula"):
+            append_uncompute(compile_formula(wider), paper_3sat)
+        with pytest.raises(CompileError, match="exceeds cap"):
+            append_uncompute(compile_formula(paper_3sat), wider)
 
 
 class TestCostModel:

@@ -210,6 +210,10 @@ BAD_SPIN_FILES = {
     "observed-null": {**SPIN_BASE, "observed": None},
     "observed-float": {**SPIN_BASE, "observed": 2.9},
     "names-int": {**SPIN_BASE, "names": 3},
+    "names-str": {**SPIN_BASE, "names": "ABW"},
+    "shifts-str": {**SPIN_BASE, "shifts": "000"},
+    "qubits-str": {**SPIN_BASE, "variable_qubits": "AB"},
+    "scratch-str": {**SPIN_BASE, "scratch_qubits": "A"},
     "list": [SPIN_BASE],
 }
 

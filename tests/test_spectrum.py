@@ -289,6 +289,37 @@ class TestSpinSystemIO:
         )
         assert load_spin_system(doc) == system
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("names", "WABD"),
+            ("shifts", "0000"),
+            ("couplings", "0000"),
+            pytest.param(
+                "couplings",
+                ["0000", [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]],
+                id="couplings-row",
+            ),
+            ("variable_qubits", "AB"),
+            ("decoupled", "D"),
+            ("scratch_qubits", "D"),
+        ],
+    )
+    def test_load_requires_json_lists(self, key, value):
+        doc = {
+            "names": ["W", "A", "B", "D"],
+            "shifts": [0, 0, 0, 0],
+            "observed": "W",
+            "couplings": [[0, 20, 30, 0], [20, 0, 0, 0], [30, 0, 0, 0], [0] * 4],
+            "variable_qubits": ["A", "B"],
+            "decoupled": ["D"],
+            "scratch_qubits": ["D"],
+        }
+        load_spin_system(json.dumps(doc))
+        doc[key] = value
+        with pytest.raises(ValueError, match="must be a JSON list"):
+            load_spin_system(json.dumps(doc))
+
     def test_validation_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             SpinSystem(

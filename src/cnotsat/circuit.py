@@ -256,30 +256,26 @@ def append_uncompute(circuit: Circuit, formula: CnfFormula) -> Circuit:
     return Circuit(circuit.layout, circuit.gates + tail)
 
 
-def _is_plain_1sat(formula: CnfFormula) -> bool:
-    if formula.num_clauses == 0:
-        return False
-    seen = set()
-    for clause in formula.clauses:
-        clause = clause.deduplicated()
-        if len(clause.literals) != 1 or clause.literals[0].var in seen:
-            return False
-        seen.add(clause.literals[0].var)
-    return True
-
-
 def compile_auto(formula: CnfFormula, width_cap: int = 24) -> Circuit:
     """Pick the cheapest faithful path: unit-clause conjunctions get the
     scratch-free MCX form, lone clauses the no-scratch form, everything else
-    the general clause-block construction."""
-    if _is_plain_1sat(formula):
+    the general clause-block construction.  A formula with no clauses is
+    constant true (one NOT on the work wire); one with an empty clause is
+    constant false (no gates)."""
+    layout = QubitLayout(formula.num_vars)
+    if not formula.clauses:
+        return Circuit(layout, (Not(layout.work_wire),))
+    if not all(clause.literals for clause in formula.clauses):
+        return Circuit(layout, ())
+    try:
         return compile_1sat(formula)
-    if (
-        formula.num_clauses == 1
-        and formula.clauses[0].literals
-        and not formula.clauses[0].deduplicated().is_tautology()
-    ):
-        return compile_single_clause(formula.clauses[0], formula.num_vars)
+    except CompileError:
+        pass
+    if formula.num_clauses == 1:
+        try:
+            return compile_single_clause(formula.clauses[0], formula.num_vars)
+        except CompileError:
+            pass
     return compile_formula(formula, width_cap=width_cap)
 
 
@@ -380,20 +376,27 @@ def circuit_census(circuit: Circuit) -> tuple[dict[int, int], int]:
 
 
 def cost_model(formula: CnfFormula) -> GateCounts:
-    """Gate counts for the compiled formula (pre-peephole) with elementary
-    projections.
+    """Gate counts for the circuit `compile_auto` picks (pre-peephole) with
+    elementary projections.
 
     Per-gate projection rule: a C1-NOT is one elementary C-NOT; a Ck-NOT
     (k >= 2) costs 3(k-1) C-NOTs and 4(k-1) single-qubit gates.  Circuits on
-    the OR-clause paths report three fewer elementary C-NOTs than the plain
-    per-gate sum, matching the published closed forms 3(3m-2) / 4(3m-1) for
-    3-SAT with m clauses.
+    the OR-clause paths, the ones that NOT a work or scratch wire, report
+    three fewer elementary C-NOTs than the plain per-gate sum, matching the
+    published closed forms 3(3m-2) / 4(3m-1) for 3-SAT with m clauses.
+    Every path puts its inversion layer on both sides of its MCX, so one
+    layer is half the NOTs on variable wires.
     """
-    or_path = not _is_plain_1sat(formula)
     # Counting allocates no state, so the simulator's width cap does not apply.
     uncapped = QubitLayout(formula.num_vars, formula.num_clauses).width
     circuit = compile_auto(formula, width_cap=uncapped)
     mcx_by_arity, not_count = circuit_census(circuit)
+    var_nots = sum(
+        1
+        for gate in circuit.gates
+        if isinstance(gate, Not) and 1 <= gate.target <= formula.num_vars
+    )
+    or_path = var_nots < not_count
 
     cnot = 0
     single = 0
@@ -405,20 +408,10 @@ def cost_model(formula: CnfFormula) -> GateCounts:
             single += 4 * (arity - 1) * count
     if or_path and any(arity >= 2 for arity in mcx_by_arity):
         cnot -= 3
-
-    conjugation = 0
-    for clause in formula.clauses:
-        clause = clause.deduplicated()
-        if clause.is_tautology():
-            continue
-        if or_path:
-            conjugation += sum(1 for l in clause.literals if not l.negated)
-        else:
-            conjugation += sum(1 for l in clause.literals if l.negated)
     return GateCounts(
         mcx_by_arity=mcx_by_arity,
         not_count=not_count,
-        conjugation_nots=conjugation,
+        conjugation_nots=var_nots // 2,
         elementary_cnot=cnot,
         elementary_single=single,
     )
@@ -484,14 +477,3 @@ def circuit_to_dict(circuit: Circuit) -> dict:
         "num_scratch": circuit.layout.num_scratch,
         "gates": gates,
     }
-
-
-def circuit_from_dict(data: dict) -> Circuit:
-    layout = QubitLayout(data["num_vars"], data["num_scratch"])
-    gates: list[Gate] = []
-    for entry in data["gates"]:
-        if entry["gate"] == "x":
-            gates.append(Not(entry["target"]))
-        else:
-            gates.append(Mcx(frozenset(entry["controls"]), entry["target"]))
-    return Circuit(layout, tuple(gates))

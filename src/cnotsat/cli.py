@@ -81,16 +81,18 @@ def _write_text(path: str, text: str) -> None:
         raise CliError(f"cannot write {path}: {exc}") from exc
 
 
-def _compile(formula: cnf.CnfFormula, args) -> circ.Circuit:
+def _compile(formula: cnf.CnfFormula, args) -> tuple[circ.Circuit, circ.Circuit]:
+    """The one compile step of every subcommand.  Returns the compiled
+    circuit and the one to run, which is peepholed unless --no-peephole."""
     try:
-        circuit = circ.compile_formula(formula, width_cap=args.width_cap)
-        if args.uncompute:
-            circuit = circ.append_uncompute(circuit, formula)
-        if not args.no_peephole:
-            circuit = circ.peephole_cancel(circuit)
-        return circuit
+        raw = circ.compile_auto(formula, args.width_cap)
+        if args.uncompute and raw.layout.num_scratch:  # else nothing to clear
+            raw = circ.append_uncompute(raw, formula)
     except circ.CompileError as exc:
         raise CliError(f"compile error: {exc}") from exc
+    if getattr(args, "inject_fault", False):
+        raw = circ.Circuit(raw.layout, raw.gates + (circ.Not(raw.layout.work_wire),))
+    return raw, raw if args.no_peephole else circ.peephole_cancel(raw)
 
 
 def _simulate(circuit: circ.Circuit, args) -> sim.PopulationState:
@@ -102,7 +104,7 @@ def _simulate(circuit: circ.Circuit, args) -> sim.PopulationState:
 
 def _solve_pipeline(formula: cnf.CnfFormula, args) -> dict:
     start = time.perf_counter()
-    circuit = _compile(formula, args)
+    _, circuit = _compile(formula, args)
     state = _simulate(circuit, args)
     report = sim.true_space(state, circuit.layout)
     summary = {
@@ -146,23 +148,14 @@ def cmd_solve(args) -> int:
 
 def cmd_compile(args) -> int:
     formula = _read_input(args)
-    try:
-        if args.uncompute:
-            raw = circ.compile_formula(formula, width_cap=args.width_cap)
-            raw = circ.append_uncompute(raw, formula)
-        else:
-            raw = circ.compile_auto(formula, width_cap=args.width_cap)
-        counts = circ.cost_model(formula)
-    except circ.CompileError as exc:
-        raise CliError(f"compile error: {exc}") from exc
-    cancelled = circ.peephole_cancel(raw)
-    chosen = raw if args.no_peephole else cancelled
+    raw, chosen = _compile(formula, args)
+    counts = circ.cost_model(formula)
+    _, raw_nots = circ.circuit_census(raw)
+    _, opt_nots = circ.circuit_census(circ.peephole_cancel(raw))
     text = circ.circuit_to_text(chosen)
     if args.output:
         _write_text(args.output, text)
     if args.json:
-        _, raw_nots = circ.circuit_census(raw)
-        _, opt_nots = circ.circuit_census(cancelled)
         print(
             json.dumps(
                 {
@@ -184,8 +177,6 @@ def cmd_compile(args) -> int:
         if not args.output:
             print(text, end="")
         print(counts.report())
-        _, raw_nots = circ.circuit_census(raw)
-        _, opt_nots = circ.circuit_census(cancelled)
         print(f"not gates after peephole: {opt_nots} (before: {raw_nots})")
     return 0
 
@@ -200,7 +191,7 @@ def cmd_spectrum(args) -> int:
     if args.thermal:
         lines = spec.thermal_reference(system, n)
     else:
-        circuit = _compile(formula, args)
+        _, circuit = _compile(formula, args)
         state = _simulate(circuit, args)
         lines = spec.multiplet_lines(state, circuit.layout, system)
     if args.json:
@@ -227,24 +218,18 @@ def cmd_spectrum(args) -> int:
 
 
 def _verify_one(formula: cnf.CnfFormula, args) -> str | None:
-    """Return a mismatch description, or None when all three paths agree."""
+    """Return a mismatch description, or None when solve's direct readout
+    and spectral decode both equal the brute-force oracle."""
     try:
         solutions = cnf.brute_force_solutions(formula)
     except ValueError as exc:
         raise CliError(f"cannot verify: {exc}") from exc
     oracle = tuple(a.bitstring() for a in solutions)
-    circuit = circ.compile_formula(formula, width_cap=args.width_cap)
-    if args.inject_fault:
-        circuit = circ.Circuit(
-            circuit.layout, circuit.gates + (circ.Not(circuit.layout.work_wire),)
-        )
-    state = _simulate(circuit, args)
-    direct = sim.true_space(state, circuit.layout).bitstrings()
+    summary = _solve_pipeline(formula, args)
+    direct = tuple(summary["solutions"])
     if direct != oracle:
         return f"direct readout {direct} != oracle {oracle}"
-    system = _spin_system(args.spin_system, formula.num_vars)
-    lines = spec.multiplet_lines(state, circuit.layout, system)
-    decoded = spec.extract_solutions(lines, system, formula.num_vars).bitstrings()
+    decoded = tuple(summary["spectral_solutions"])
     if decoded != oracle:
         return f"spectral decode {decoded} != oracle {oracle}"
     return None
@@ -266,7 +251,7 @@ def cmd_verify(args) -> int:
     for name, formula in instances:
         try:
             mismatch = _verify_one(formula, args)
-        except (circ.CompileError, sim.PipelineFormError, spec.SpinSystemError) as exc:
+        except (sim.PipelineFormError, spec.SpinSystemError) as exc:
             mismatch = f"error: {exc}"
         if mismatch:
             print(f"FAIL {name}: {mismatch}")
@@ -311,8 +296,6 @@ def _add_spectrum_flags(parser: argparse.ArgumentParser) -> None:
         default="auto",
         help="alanine-3q, alanine-4q, synthetic, auto, or a JSON file",
     )
-    parser.add_argument("--linewidth", type=float, default=1.0)
-    parser.add_argument("--grid", default="-130,130,2001", help="min,max,points")
     parser.add_argument("--min-separation", type=float, default=5.0)
 
 
@@ -344,6 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_spec)
     _add_pipeline_flags(p_spec)
     _add_spectrum_flags(p_spec)
+    p_spec.add_argument("--linewidth", type=float, default=1.0)
+    p_spec.add_argument("--grid", default="-130,130,2001", help="min,max,points")
     p_spec.add_argument("--thermal", action="store_true", help="reference spectrum")
     p_spec.add_argument("--trace", help="write a rendered CSV trace to this file")
     p_spec.set_defaults(func=cmd_spectrum)
@@ -358,14 +343,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--corpus", type=int, default=200)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--width-cap", type=int, default=24)
-    p_verify.add_argument("--json", action="store_true")
     p_verify.add_argument(
         "--inject-fault",
         action="store_true",
         help="flip the work wire to demonstrate counterexample reporting",
     )
     _add_spectrum_flags(p_verify)
-    p_verify.set_defaults(func=cmd_verify)
+    # verify checks the circuit and the decode that plain `solve --via-spectrum` runs
+    p_verify.set_defaults(
+        func=cmd_verify, via_spectrum=True, uncompute=False, no_peephole=False
+    )
 
     p_random = sub.add_parser("random", help="emit a random k-SAT DIMACS file")
     p_random.add_argument("n", type=int)

@@ -72,6 +72,11 @@ class SpinSystem:
             raise ValueError("observed spin cannot be decoupled")
         if self.observed in self.qubit_spins:
             raise ValueError("observed spin cannot carry a variable qubit")
+        for spin in self.scratch_spins:
+            if spin not in self.decoupled:
+                raise SpinSystemError(
+                    f"scratch spin {self.names[spin]} is not decoupled"
+                )
 
     @property
     def capacity(self) -> int:
@@ -212,13 +217,6 @@ def multiplet_lines(
     """
     n = layout.num_vars
     _check_variable_spins(system, n)
-    for mu in range(1, layout.num_scratch + 1):
-        if mu <= len(system.scratch_spins):
-            spin = system.scratch_spins[mu - 1]
-            if spin not in system.decoupled:
-                raise SpinSystemError(
-                    f"scratch spin {system.names[spin]} is not decoupled"
-                )
     reduced = marginalize(state, (layout.work_wire,) + layout.var_wires)
     signed = np.where(reduced.indices & 1, -reduced.weights, reduced.weights)
     amplitudes = np.bincount(reduced.indices >> 1, weights=signed, minlength=1 << n)

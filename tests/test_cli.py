@@ -1,8 +1,26 @@
+import contextlib
+import io
 import json
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cnotsat import brute_force_solutions, generate_random_ksat, to_dimacs
+from cnotsat import (
+    Clause,
+    CnfFormula,
+    Literal,
+    brute_force_solutions,
+    circuit_from_text,
+    circuit_to_text,
+    compile_auto,
+    generate_random_ksat,
+    parse_dimacs,
+    peephole_cancel,
+    run,
+    to_dimacs,
+    true_space,
+)
 from cnotsat.cli import main
 from conftest import PAPER_1SAT, PAPER_3SAT
 
@@ -214,6 +232,7 @@ BAD_SPIN_FILES = {
     "shifts-str": {**SPIN_BASE, "shifts": "000"},
     "qubits-str": {**SPIN_BASE, "variable_qubits": "AB"},
     "scratch-str": {**SPIN_BASE, "scratch_qubits": "A"},
+    "scratch-coupled": {**SPIN_BASE, "scratch_qubits": ["A"]},
     "list": [SPIN_BASE],
 }
 
@@ -256,3 +275,100 @@ def test_failures_exit_2_with_one_line(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--dimacs", PAPER_3SAT, "--width-cap", "5"], "width 7 exceeds cap 5"),
+        (["--dimacs", TWO_VARS, "--spin-system", "{tmp}/flat.json"], "resolvable"),
+    ],
+    ids=["width-cap", "unresolvable"],
+)
+def test_verify_input_errors_exit_2(argv, message, tmp_path, capsys):
+    flat = {**SPIN_BASE, "couplings": [[0, 0, 20], [0, 0, 20], [20, 20, 0]]}
+    (tmp_path / "flat.json").write_text(json.dumps(flat))
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    assert main(["verify"] + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--dimacs", PAPER_3SAT, "--linewidth", "2"],
+        ["solve", "--dimacs", PAPER_3SAT, "--grid=-1,1,9"],
+        ["verify", "--dimacs", PAPER_3SAT, "--linewidth", "2"],
+        ["verify", "--dimacs", PAPER_3SAT, "--grid=-1,1,9"],
+        ["verify", "--dimacs", PAPER_3SAT, "--json"],
+    ],
+    ids=[
+        "solve-linewidth",
+        "solve-grid",
+        "verify-linewidth",
+        "verify-grid",
+        "verify-json",
+    ],
+)
+def test_unread_flags_rejected(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def call(argv: list[str]) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        status = main(argv)
+    return status, out.getvalue()
+
+
+@st.composite
+def formulas(draw) -> CnfFormula:
+    """Formulas with n in 0..6: unit-clause conjunctions, single clauses,
+    tautologies, repeated literals, no clauses at all and empty clauses."""
+    n = draw(st.integers(0, 6))
+    literal = st.builds(Literal, st.integers(1, max(n, 1)), st.booleans())
+    clause = st.lists(literal, max_size=4 if n else 0).map(
+        lambda lits: Clause(tuple(lits))
+    )
+    clauses = draw(
+        st.one_of(
+            st.lists(clause, max_size=5),
+            st.lists(literal.map(lambda l: Clause((l,))), max_size=n),
+            clause.map(lambda c: [c]),
+        )
+    )
+    return CnfFormula(n, tuple(clauses))
+
+
+@settings(max_examples=60, deadline=None)
+@given(formulas())
+def test_subcommands_agree_with_oracle(formula):
+    text = to_dimacs(formula)
+    formula = parse_dimacs(text)  # the formula every subcommand reads
+    oracle = [a.bitstring() for a in brute_force_solutions(formula)]
+
+    status, out = call(["solve", "--dimacs", text, "--via-spectrum", "--json"])
+    data = json.loads(out)
+    assert status == 0
+    assert data["solutions"] == data["spectral_solutions"] == oracle
+
+    assert call(["verify", "--dimacs", text]) == (0, "1/1 exact matches\n")
+
+    for extra in ([], ["--uncompute"]):
+        status, out = call(["compile", "--dimacs", text, "--no-peephole"] + extra)
+        assert status == 0
+        circuit = circuit_from_text(out.split("mcx gates:")[0])
+        state = run(circuit)
+        assert list(true_space(state, circuit.layout).bitstrings()) == oracle
+        if extra:
+            scratch = sum(1 << w for w in circuit.layout.scratch_wires)
+            assert not np.any(state.indices & scratch)
+
+    status, out = call(["compile", "--dimacs", text])
+    assert status == 0
+    expected = circuit_to_text(peephole_cancel(compile_auto(formula)))
+    assert out.split("mcx gates:")[0] == expected

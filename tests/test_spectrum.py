@@ -73,18 +73,15 @@ class TestMultipletLines:
         assert all(l.amplitude > 0 for l in lines)
 
     def test_scratch_spin_must_be_decoupled(self):
-        system = SpinSystem(
-            names=("W", "V", "S"),
-            shifts=(0.0, 0.0, 0.0),
-            observed=0,
-            couplings=((0.0, 30.0, 10.0), (30.0, 0.0, 0.0), (10.0, 0.0, 0.0)),
-            qubit_spins=(1,),
-            scratch_spins=(2,),  # not decoupled
-        )
-        formula = parse_dimacs("p cnf 1 1\n1 0")
-        circuit = compile_formula(formula)
         with pytest.raises(SpinSystemError):
-            multiplet_lines(run(circuit), circuit.layout, system)
+            SpinSystem(
+                names=("W", "V", "S"),
+                shifts=(0.0, 0.0, 0.0),
+                observed=0,
+                couplings=((0.0, 30.0, 10.0), (30.0, 0.0, 0.0), (10.0, 0.0, 0.0)),
+                qubit_spins=(1,),
+                scratch_spins=(2,),  # not decoupled
+            )
 
     def test_variable_spin_must_be_coupled(self):
         system = SpinSystem(

@@ -261,7 +261,15 @@ def compile_auto(formula: CnfFormula, width_cap: int = 24) -> Circuit:
     scratch-free MCX form, lone clauses the no-scratch form, everything else
     the general clause-block construction.  A formula with no clauses is
     constant true (one NOT on the work wire); one with an empty clause is
-    constant false (no gates)."""
+    constant false (no gates).  Whichever path is picked, a circuit wider
+    than width_cap is a CompileError."""
+    circuit = _pick_path(formula, width_cap)
+    if circuit.layout.width > width_cap:
+        raise CompileError(f"width {circuit.layout.width} exceeds cap {width_cap}")
+    return circuit
+
+
+def _pick_path(formula: CnfFormula, width_cap: int) -> Circuit:
     layout = QubitLayout(formula.num_vars)
     if not formula.clauses:
         return Circuit(layout, (Not(layout.work_wire),))

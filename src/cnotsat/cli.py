@@ -107,12 +107,13 @@ def _solve_pipeline(formula: cnf.CnfFormula, args) -> dict:
     _, circuit = _compile(formula, args)
     state = _simulate(circuit, args)
     report = sim.true_space(state, circuit.layout)
+    solutions = list(report.bitstrings())
     summary = {
         "num_vars": formula.num_vars,
         "num_clauses": formula.num_clauses,
         "k_max": max((len(c.literals) for c in formula.clauses), default=0),
         "count": report.count,
-        "solutions": list(report.bitstrings()),
+        "solutions": solutions,
     }
     if args.via_spectrum:
         system = _spin_system(args.spin_system, formula.num_vars)
@@ -120,8 +121,9 @@ def _solve_pipeline(formula: cnf.CnfFormula, args) -> dict:
         summary["resolvable"] = True
         lines = spec.multiplet_lines(state, circuit.layout, system)
         decoded = spec.extract_solutions(lines, system, formula.num_vars)
-        summary["spectral_solutions"] = list(decoded.bitstrings())
-        summary["paths_agree"] = decoded.bitstrings() == report.bitstrings()
+        spectral = list(decoded.bitstrings())
+        summary["spectral_solutions"] = spectral
+        summary["paths_agree"] = spectral == solutions
     summary["elapsed_s"] = time.perf_counter() - start
     return summary
 

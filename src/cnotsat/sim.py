@@ -72,26 +72,60 @@ class PopulationState:
         return dense
 
 
-@dataclass(frozen=True)
-class SolutionReport:
-    """Assignments split by the work bit: x0=1 satisfies, x0=0 does not."""
+def bitstring_labels(configs: np.ndarray, num_vars: int) -> list[str]:
+    """x_n..x_1 display strings of configuration indices, formatted in bulk;
+    entry k equals Assignment.from_index(configs[k], num_vars).bitstring()."""
+    configs = np.asarray(configs, dtype=np.int64)
+    if num_vars == 0:
+        return [""] * configs.size
+    shifts = np.arange(num_vars - 1, -1, -1, dtype=np.int64)
+    # one UCS4 code unit per digit, so each row of the block is one string
+    digits = ((configs[:, None] >> shifts) & 1).astype(np.uint32) + ord("0")
+    return digits.view(f"U{num_vars}").ravel().tolist()
 
-    true_space: tuple[Assignment, ...]
-    false_space: tuple[Assignment, ...]
+
+@dataclass(frozen=True, eq=False)
+class SolutionReport:
+    """Assignments split by the work bit: satisfying[c] is True when
+    configuration c (bit i-1 holds x_i) ends with x0=1.  The mask is a
+    read-only copy; Assignment tuples are built only when read."""
+
+    num_vars: int
+    satisfying: np.ndarray
+
+    def __post_init__(self) -> None:
+        mask = np.array(self.satisfying, dtype=bool)
+        if mask.shape != (1 << self.num_vars,):
+            raise ValueError(
+                f"mask of shape {mask.shape} for {self.num_vars} variables"
+            )
+        mask.flags.writeable = False
+        object.__setattr__(self, "satisfying", mask)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SolutionReport):
+            return NotImplemented
+        # the mask's length is 2^num_vars, so equal masks mean equal num_vars
+        return bool(np.array_equal(self.satisfying, other.satisfying))
 
     @property
     def count(self) -> int:
-        return len(self.true_space)
+        return int(np.count_nonzero(self.satisfying))
+
+    def _assignments(self, mask: np.ndarray) -> tuple[Assignment, ...]:
+        n = self.num_vars
+        return tuple(Assignment.from_index(c, n) for c in np.flatnonzero(mask).tolist())
+
+    @property
+    def true_space(self) -> tuple[Assignment, ...]:
+        return self._assignments(self.satisfying)
+
+    @property
+    def false_space(self) -> tuple[Assignment, ...]:
+        return self._assignments(~self.satisfying)
 
     def bitstrings(self) -> tuple[str, ...]:
-        return tuple(a.bitstring() for a in self.true_space)
-
-    def to_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "true_space": list(self.bitstrings()),
-            "false_space": [a.bitstring() for a in self.false_space],
-        }
+        return tuple(bitstring_labels(np.flatnonzero(self.satisfying), self.num_vars))
 
 
 def initial_mixed_state(
@@ -146,9 +180,7 @@ def true_space(
         )
     satisfied = np.zeros(1 << n, dtype=bool)
     satisfied[configs] = (indices & 1).astype(bool)
-    true_list = [Assignment.from_index(int(a), n) for a in np.flatnonzero(satisfied)]
-    false_list = [Assignment.from_index(int(a), n) for a in np.flatnonzero(~satisfied)]
-    return SolutionReport(tuple(true_list), tuple(false_list))
+    return SolutionReport(n, satisfied)
 
 
 def marginalize(state: PopulationState, keep: tuple[int, ...]) -> PopulationState:

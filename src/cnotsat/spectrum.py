@@ -15,8 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import QubitLayout
-from .cnf import Assignment
-from .sim import PopulationState, SolutionReport, marginalize
+from .sim import PopulationState, SolutionReport, bitstring_labels, marginalize
 
 MERGE_TOL_HZ = 1e-9
 
@@ -337,11 +336,7 @@ def extract_solutions(
         raise SpinSystemError("spectrum does not cover every configuration")
     satisfying = np.zeros(1 << n, dtype=bool)
     satisfying[configs] = [line.amplitude < 0 for line in lines]
-
-    def assignments(mask: np.ndarray) -> tuple[Assignment, ...]:
-        return tuple(Assignment.from_index(c, n) for c in np.flatnonzero(mask).tolist())
-
-    return SolutionReport(assignments(satisfying), assignments(~satisfying))
+    return SolutionReport(n, satisfying)
 
 
 # -- built-in systems --------------------------------------------------------
@@ -458,13 +453,30 @@ def line_table(
         np.array([line.frequency for line in ordered], dtype=float),
         _default_tolerance(config_freqs),
     )
-    rows = []
-    for line, config, count in zip(ordered, configs.tolist(), hits.tolist()):
-        label = Assignment.from_index(config, n).bitstring() if count == 1 else "?"
-        rows.append(f"{line.frequency:12.4f} {line.amplitude:+.6f} {label}")
-    return "\n".join(rows) + "\n"
+    labels = bitstring_labels(configs, n)
+    for unmatched in np.flatnonzero(hits != 1).tolist():
+        labels[unmatched] = "?"
+    return _format_rows(
+        "%12.4f %+.6f %s\n",
+        [line.frequency for line in ordered],
+        [line.amplitude for line in ordered],
+        labels,
+    )
 
 
 def trace_csv(freqs: np.ndarray, values: np.ndarray) -> str:
-    pairs = zip(map(float, freqs), map(float, values))
-    return "\n".join(f"{f:.6f},{v:.9g}" for f, v in pairs) + "\n"
+    return _format_rows(
+        "%.6f,%.9g\n",
+        np.asarray(freqs, dtype=float).tolist(),
+        np.asarray(values, dtype=float).tolist(),
+    )
+
+
+def _format_rows(row: str, *columns: list) -> str:
+    """One %-format of `row` repeated once per entry of the equal-length
+    columns; no rows give a lone newline."""
+    count = len(columns[0])
+    cells: list = [None] * (count * len(columns))
+    for i, column in enumerate(columns):
+        cells[i :: len(columns)] = column
+    return (row * count) % tuple(cells) or "\n"

@@ -491,6 +491,17 @@ class TestCompileAuto:
     def test_falls_back_to_general(self, paper_3sat):
         assert compile_auto(paper_3sat).layout.num_scratch == 3
 
+    @pytest.mark.parametrize(
+        "text",
+        ["p cnf 5 1\n1 2 0", "p cnf 5 2\n1 0\n3 0", "p cnf 5 0", "p cnf 5 1\n0"],
+        ids=["single-clause", "units", "no-clauses", "empty-clause"],
+    )
+    def test_width_cap_binds_every_path(self, text):
+        formula = parse_dimacs(text)
+        assert compile_auto(formula, width_cap=6).layout.width == 6
+        with pytest.raises(CompileError, match="width 6 exceeds cap 5"):
+            compile_auto(formula, width_cap=5)
+
     def test_all_paths_agree(self, paper_1sat):
         direct = as_permutation(compile_auto(paper_1sat))
         general = as_permutation(compile_formula(paper_1sat))

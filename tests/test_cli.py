@@ -1,6 +1,8 @@
 import contextlib
+import hashlib
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -247,6 +249,8 @@ BAD_SPIN_FILES = {
         ["random", "3", "2", "2", "-o", "{tmp}/missing/r.cnf"],
         ["verify", "--dimacs", "p cnf 25 1\n1 2 0"],
         ["solve", "--dimacs", WIDE_UNIT, "--width-cap", "100"],
+        ["compile", "--width-cap", "3", "--dimacs", "p cnf 5 1\n1 2 0"],
+        ["compile", "--width-cap", "3", "--dimacs", "p cnf 5 2\n1 0\n3 0"],
         *(
             ["spectrum", "--dimacs", TWO_VARS, "--spin-system", f"{{tmp}}/{name}.json"]
             for name in BAD_SPIN_FILES
@@ -262,6 +266,8 @@ BAD_SPIN_FILES = {
         "random-o",
         "verify-n25",
         "width-65",
+        "compile-cap-clause",
+        "compile-cap-units",
         *(f"spin-{name}" for name in BAD_SPIN_FILES),
         "solve-min-sep-0",
         "spectrum-min-sep-neg",
@@ -372,3 +378,33 @@ def test_subcommands_agree_with_oracle(formula):
     assert status == 0
     expected = circuit_to_text(peephole_cancel(compile_auto(formula)))
     assert out.split("mcx gates:")[0] == expected
+
+
+GOLDEN_N11 = "p cnf 11 5\n2 6 9 0\n-4 9 10 0\n-8 10 -11 0\n1 2 8 0\n-4 5 -7 0\n"
+GOLDEN_SHA256 = {
+    "solve --via-spectrum --json": (
+        "388451ae007732f9bb26b2db477a005bf59a215fe2c99069814be48365fdff87"
+    ),
+    "spectrum table": "a1bc95d36640cd2cd377b62dc8b0a56d06214e908b581e49d9fdbdb18de6f875",
+    "spectrum --trace": "f1fb311a94d92288974e028fe754e22b63f97950edb5a76b2cf414b0a30d879f",
+}
+
+
+def test_readout_bytes_are_pinned(tmp_path):
+    """Every byte of the n=11 readout (2048 lines, 1108 solutions) on the
+    synthetic system, pinned by SHA-256; only elapsed_s is left out."""
+    synthetic = ["--dimacs", GOLDEN_N11, "--spin-system", "synthetic"]
+    status, solved = call(["solve", "--via-spectrum", "--json", *synthetic])
+    assert status == 0
+    solved = re.sub(r',\n  "elapsed_s": [^\n]*', "", solved)
+    trace = tmp_path / "trace.csv"
+    grid = "--grid=-20500,20500,4001"
+    status, table = call(["spectrum", *synthetic, "--trace", str(trace), grid])
+    assert status == 0
+    outputs = {
+        "solve --via-spectrum --json": solved.encode(),
+        "spectrum table": table.encode(),
+        "spectrum --trace": trace.read_bytes(),
+    }
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
+    assert digests == GOLDEN_SHA256

@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cnotsat import (
+    Assignment,
     Circuit,
     Mcx,
     Not,
     PipelineFormError,
     PopulationState,
     QubitLayout,
+    SolutionReport,
     apply_gate,
     append_uncompute,
     brute_force_solutions,
@@ -25,7 +27,7 @@ from cnotsat import (
     true_space,
 )
 from cnotsat.circuit import as_permutation, gate_permutation_indices
-from cnotsat.sim import state_table
+from cnotsat.sim import bitstring_labels, state_table
 from conftest import random_formula
 
 
@@ -144,6 +146,65 @@ class TestTrueSpace:
         report = true_space(run(circuit), circuit.layout)
         assert len(report.true_space) + len(report.false_space) == 8
         assert not set(report.true_space) & set(report.false_space)
+
+
+def report_reference(num_vars, mask):
+    """count, true_space, false_space and bitstrings() built one Assignment
+    at a time."""
+    space = [Assignment.from_index(c, num_vars) for c in range(1 << num_vars)]
+    true = tuple(a for a, bit in zip(space, mask) if bit)
+    false = tuple(a for a, bit in zip(space, mask) if not bit)
+    return len(true), true, false, tuple(a.bitstring() for a in true)
+
+
+@st.composite
+def report_masks(draw):
+    n = draw(st.integers(0, 8))
+    return n, draw(st.lists(st.booleans(), min_size=1 << n, max_size=1 << n))
+
+
+class TestSolutionReport:
+    @settings(max_examples=100, deadline=None)
+    @given(report_masks())
+    def test_views_match_assignment_reference(self, case):
+        n, mask = case
+        report = SolutionReport(n, np.array(mask))
+        views = (report.count, report.true_space, report.false_space)
+        assert views + (report.bitstrings(),) == report_reference(n, mask)
+
+    def test_mask_is_a_read_only_copy(self):
+        mask = np.array([False, True])
+        report = SolutionReport(1, mask)
+        with pytest.raises(ValueError):
+            report.satisfying[0] = True
+        mask[0] = True
+        assert report.count == 1
+
+    def test_equality_compares_variables_and_mask(self):
+        assert SolutionReport(1, [False, True]) == SolutionReport(1, np.array([0, 1]))
+        assert SolutionReport(1, [False, True]) != SolutionReport(1, [True, False])
+        assert SolutionReport(0, [True]) != SolutionReport(1, [True, False])
+
+    def test_rejects_mask_of_wrong_length(self):
+        with pytest.raises(ValueError, match="mask of shape"):
+            SolutionReport(2, [True, False])
+
+
+class TestBitstringLabels:
+    @pytest.mark.parametrize("n", range(21))
+    def test_equal_to_assignment_bitstring(self, n):
+        if n <= 10:
+            configs = np.arange(1 << n)
+        else:
+            rng = np.random.default_rng(n)
+            configs = np.concatenate(([0, (1 << n) - 1], rng.integers(0, 1 << n, 300)))
+        assert bitstring_labels(configs, n) == [
+            Assignment.from_index(int(c), n).bitstring() for c in configs
+        ]
+
+    @pytest.mark.parametrize("n", [0, 5])
+    def test_no_configurations(self, n):
+        assert bitstring_labels(np.array([], dtype=np.int64), n) == []
 
 
 class TestMarginalize:

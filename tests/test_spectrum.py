@@ -34,6 +34,7 @@ from cnotsat.spectrum import (
     config_frequency,
     default_match_tolerance,
     line_table,
+    trace_csv,
 )
 
 ALANINE_3Q_FREQS = sorted([-44.375, -9.435, 9.435, 44.375])
@@ -179,6 +180,38 @@ class TestRender:
     def test_rejects_bad_grid(self, kwargs):
         with pytest.raises(ValueError):
             render((SpectrumLine(0.0, 1.0),), **kwargs)
+
+
+def reference_trace_csv(freqs, values):
+    """One f-string per grid point, as trace_csv formatted before."""
+    pairs = zip(map(float, freqs), map(float, values))
+    return "\n".join(f"{f:.6f},{v:.9g}" for f, v in pairs) + "\n"
+
+
+SPECIAL_FLOATS = [
+    np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324, -5e-324, 1e-310,
+    2.2250738585072014e-308, 1e308, -1e308, 1.7976931348623157e308,
+    0.1, -123.456789, 1e-7, 1e16, 0.5e-6, 9.9999995e8,
+]
+
+
+class TestTraceCsv:
+    def test_special_values_match_per_row_format(self):
+        freqs = np.array(SPECIAL_FLOATS)
+        values = freqs[::-1].copy()
+        assert trace_csv(freqs, values) == reference_trace_csv(freqs, values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.floats(), st.floats()), max_size=40))
+    def test_matches_per_row_format(self, rows):
+        freqs = np.array([f for f, _ in rows], dtype=float)
+        values = np.array([v for _, v in rows], dtype=float)
+        assert trace_csv(freqs, values) == reference_trace_csv(freqs, values)
+
+    def test_no_rows_give_one_newline(self):
+        empty = np.array([], dtype=float)
+        assert trace_csv(empty, empty) == reference_trace_csv(empty, empty) == "\n"
+        assert line_table((), synthetic_system(2), 2) == "\n"
 
 
 class TestExtractSolutions:
@@ -405,7 +438,9 @@ def reference_extract(lines, system, n, tolerance=None):
         raise SpinSystemError("spectrum does not cover every configuration")
     true_list.sort(key=lambda a: a.index)
     false_list.sort(key=lambda a: a.index)
-    return SolutionReport(tuple(true_list), tuple(false_list))
+    return SolutionReport(
+        n, [Assignment.from_index(c, n) in true_list for c in range(1 << n)]
+    )
 
 
 def reference_line_table(lines, system, n):

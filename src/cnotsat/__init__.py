@@ -46,6 +46,7 @@ from .sim import (
 )
 from .spectrum import (
     DegenerateMultipletError,
+    Multiplet,
     SpectrumLine,
     SpinSystem,
     SpinSystemError,

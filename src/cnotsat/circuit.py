@@ -239,7 +239,8 @@ def peephole_cancel(circuit: Circuit) -> Circuit:
             for control in gate.controls:
                 pending.pop(control, None)
             out.append(gate)
-    return Circuit(circuit.layout, tuple(gate for gate in out if gate is not None))
+    # from a list, so the tuple is allocated at its final size (see cli.main)
+    return Circuit(circuit.layout, tuple([gate for gate in out if gate is not None]))
 
 
 def append_uncompute(circuit: Circuit, formula: CnfFormula) -> Circuit:

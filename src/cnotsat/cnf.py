@@ -201,14 +201,11 @@ def brute_force_solutions(
         raise ValueError(
             f"{formula.num_vars} variables exceeds exhaustive limit {limit}"
         )
-    return tuple(
-        a
-        for a in (
-            Assignment.from_index(i, formula.num_vars)
-            for i in range(1 << formula.num_vars)
-        )
-        if evaluate(formula, a)
+    assignments = (
+        Assignment.from_index(i, formula.num_vars) for i in range(1 << formula.num_vars)
     )
+    # from a list, so the tuple is allocated at its final size (see cli.main)
+    return tuple([a for a in assignments if evaluate(formula, a)])
 
 
 def generate_random_ksat(n: int, m: int, k: int, seed: int) -> CnfFormula:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import QubitLayout
-from .sim import PopulationState, SolutionReport, bitstring_labels, marginalize
+from .sim import PopulationState, SolutionReport, bitstring_labels
 
 MERGE_TOL_HZ = 1e-9
 
@@ -91,6 +91,55 @@ class SpectrumLine:
 
     frequency: float
     amplitude: float
+
+
+@dataclass(frozen=True, eq=False)
+class Multiplet:
+    """Resonance lines as two read-only float64 arrays, sorted by frequency
+    with coinciding lines merged.  Reads as a sequence of SpectrumLine: an
+    index gives one line, a slice a Multiplet."""
+
+    frequencies: np.ndarray
+    amplitudes: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name in ("frequencies", "amplitudes"):
+            column = np.array(getattr(self, name), dtype=float)
+            column.flags.writeable = False
+            object.__setattr__(self, name, column)
+        shape = self.frequencies.shape
+        if len(shape) != 1 or shape != self.amplitudes.shape:
+            raise ValueError("frequencies and amplitudes differ in shape")
+
+    def __len__(self) -> int:
+        return self.frequencies.size
+
+    def __iter__(self):
+        return map(SpectrumLine, self.frequencies.tolist(), self.amplitudes.tolist())
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return Multiplet(self.frequencies[key], self.amplitudes[key])
+        return SpectrumLine(float(self.frequencies[key]), float(self.amplitudes[key]))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Multiplet):
+            return NotImplemented
+        return bool(
+            np.array_equal(self.frequencies, other.frequencies)
+            and np.array_equal(self.amplitudes, other.amplitudes)
+        )
+
+
+def _columns(lines) -> tuple[np.ndarray, np.ndarray]:
+    """(frequencies, amplitudes) of a Multiplet as they are, or of any other
+    sequence of SpectrumLine in its own order."""
+    if isinstance(lines, Multiplet):
+        return lines.frequencies, lines.amplitudes
+    return (
+        np.array([line.frequency for line in lines], dtype=float),
+        np.array([line.amplitude for line in lines], dtype=float),
+    )
 
 
 def _check_variable_spins(system: SpinSystem, n: int) -> None:
@@ -192,22 +241,36 @@ def _match(
     return order[np.minimum(lo, ordered.size - 1)], hi - lo
 
 
-def _merged(lines: list[SpectrumLine]) -> tuple[SpectrumLine, ...]:
-    lines = sorted(lines, key=lambda l: l.frequency)
-    out: list[SpectrumLine] = []
-    for line in lines:
-        if out and abs(line.frequency - out[-1].frequency) <= MERGE_TOL_HZ:
-            out[-1] = SpectrumLine(
-                out[-1].frequency, out[-1].amplitude + line.amplitude
-            )
-        else:
-            out.append(line)
-    return tuple(out)
+def _merge(frequencies: np.ndarray, amplitudes: np.ndarray) -> Multiplet:
+    """Sort lines by frequency (stably) and merge each run that starts at a
+    line and takes every following line within MERGE_TOL_HZ of that first
+    line.  A run keeps its first frequency; its amplitudes are added in
+    sorted order."""
+    order = np.argsort(frequencies, kind="stable")
+    frequencies, amplitudes = frequencies[order], amplitudes[order]
+    starts = np.ones(frequencies.size, dtype=bool)
+    # Only a line within tolerance of its sorted neighbour can join a run;
+    # a resolvable system has none.
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN: never a candidate
+        candidates = np.flatnonzero(np.diff(frequencies) <= MERGE_TOL_HZ) + 1
+    head = 0
+    for i in candidates.tolist():
+        if starts[i - 1]:
+            head = i - 1
+        if frequencies[i] - frequencies[head] <= MERGE_TOL_HZ:
+            starts[i] = False
+    if starts.all():
+        return Multiplet(frequencies, amplitudes)
+    merged = amplitudes[starts]
+    joined = ~starts
+    # np.add.at adds unbuffered, in index order: a0 + a1 + a2 ...
+    np.add.at(merged, np.cumsum(starts)[joined] - 1, amplitudes[joined])
+    return Multiplet(frequencies[starts], merged)
 
 
 def multiplet_lines(
     state: PopulationState, layout: QubitLayout, system: SpinSystem
-) -> tuple[SpectrumLine, ...]:
+) -> Multiplet:
     """Signed multiplet of the observed spin for a pipeline state.
 
     Scratch qubits are decoupled (traced out); each variable configuration
@@ -216,33 +279,25 @@ def multiplet_lines(
     """
     n = layout.num_vars
     _check_variable_spins(system, n)
-    reduced = marginalize(state, (layout.work_wire,) + layout.var_wires)
-    signed = np.where(reduced.indices & 1, -reduced.weights, reduced.weights)
-    amplitudes = np.bincount(reduced.indices >> 1, weights=signed, minlength=1 << n)
-    lines = [
-        SpectrumLine(frequency, amplitude)
-        for frequency, amplitude in zip(
-            config_frequencies(system, n).tolist(), amplitudes.tolist()
-        )
-    ]
-    return _merged(lines)
+    if n >= state.width:  # the work wire and var wires 1..n
+        raise ValueError("kept wire out of range")
+    configs = (state.indices >> 1) & ((1 << n) - 1)
+    signed = np.where(state.indices & 1, -state.weights, state.weights)
+    amplitudes = np.bincount(configs, weights=signed, minlength=1 << n)
+    return _merge(config_frequencies(system, n), amplitudes)
 
 
-def thermal_reference(system: SpinSystem, n: int) -> tuple[SpectrumLine, ...]:
+def thermal_reference(system: SpinSystem, n: int) -> Multiplet:
     """Equilibrium multiplet: every configuration positive at 2^-n.
 
     Defines the phase convention against which signed spectra are read.
     """
     _check_variable_spins(system, n)
-    lines = [
-        SpectrumLine(frequency, 2.0**-n)
-        for frequency in config_frequencies(system, n).tolist()
-    ]
-    return _merged(lines)
+    return _merge(config_frequencies(system, n), np.full(1 << n, 2.0**-n))
 
 
 def render(
-    lines: tuple[SpectrumLine, ...],
+    lines: Multiplet | tuple[SpectrumLine, ...],
     f_min: float,
     f_max: float,
     points: int,
@@ -261,11 +316,12 @@ def render(
     lw2 = linewidth**2
     # One line at a time through one buffer: a lines x points block was no
     # faster and multiplies peak memory.
-    for line in lines:
-        np.subtract(freqs, line.frequency, out=term)
+    line_freqs, amplitudes = _columns(lines)
+    for frequency, amplitude in zip(line_freqs.tolist(), amplitudes.tolist()):
+        np.subtract(freqs, frequency, out=term)
         np.multiply(term, term, out=term)
         np.add(term, lw2, out=term)
-        np.divide(line.amplitude * lw2, term, out=term)
+        np.divide(amplitude * lw2, term, out=term)
         np.add(values, term, out=values)
     return freqs, values
 
@@ -289,7 +345,7 @@ def default_match_tolerance(system: SpinSystem, n: int) -> float:
 
 
 def extract_solutions(
-    lines: tuple[SpectrumLine, ...],
+    lines: Multiplet | tuple[SpectrumLine, ...],
     system: SpinSystem,
     n: int,
     tolerance: float | None = None,
@@ -309,7 +365,7 @@ def extract_solutions(
         raise DegenerateMultipletError(
             "coinciding configuration frequencies; multiplet not decodable"
         )
-    line_freqs = np.array([line.frequency for line in lines], dtype=float)
+    line_freqs, amplitudes = _columns(lines)
     configs, hits = _match(config_freqs, line_freqs, tolerance)
     # Report the first faulty line in input order: no hit, several hits, or
     # a configuration that an earlier line already took.
@@ -320,7 +376,7 @@ def extract_solutions(
     faulty[by_config[1:][repeated]] = True
     if faulty.any():
         first = int(np.argmax(faulty))
-        frequency = lines[first].frequency
+        frequency = float(line_freqs[first])
         if hits[first] == 0:
             raise SpinSystemError(
                 f"line at {frequency:g} Hz matches no configuration"
@@ -332,10 +388,10 @@ def extract_solutions(
         raise SpinSystemError(
             f"configuration {int(configs[first]):0{n}b} matched by two lines"
         )
-    if len(lines) != 1 << n:
+    if line_freqs.size != 1 << n:
         raise SpinSystemError("spectrum does not cover every configuration")
     satisfying = np.zeros(1 << n, dtype=bool)
-    satisfying[configs] = [line.amplitude < 0 for line in lines]
+    satisfying[configs] = amplitudes < 0
     return SolutionReport(n, satisfying)
 
 
@@ -440,27 +496,22 @@ def load_spin_system(text: str) -> SpinSystem:
 
 
 def line_table(
-    lines: tuple[SpectrumLine, ...], system: SpinSystem, n: int
+    lines: Multiplet | tuple[SpectrumLine, ...], system: SpinSystem, n: int
 ) -> str:
     """Text table: frequency, amplitude, decoded x_n..x_1 bitstring.
 
     A line that does not match exactly one configuration is labelled "?".
     """
     config_freqs = config_frequencies(system, n)
-    ordered = sorted(lines, key=lambda l: l.frequency)
-    configs, hits = _match(
-        config_freqs,
-        np.array([line.frequency for line in ordered], dtype=float),
-        _default_tolerance(config_freqs),
-    )
+    line_freqs, amplitudes = _columns(lines)
+    order = np.argsort(line_freqs, kind="stable")
+    line_freqs, amplitudes = line_freqs[order], amplitudes[order]
+    configs, hits = _match(config_freqs, line_freqs, _default_tolerance(config_freqs))
     labels = bitstring_labels(configs, n)
     for unmatched in np.flatnonzero(hits != 1).tolist():
         labels[unmatched] = "?"
     return _format_rows(
-        "%12.4f %+.6f %s\n",
-        [line.frequency for line in ordered],
-        [line.amplitude for line in ordered],
-        labels,
+        "%12.4f %+.6f %s\n", line_freqs.tolist(), amplitudes.tolist(), labels
     )
 
 

@@ -23,6 +23,7 @@ from cnotsat import (
     to_dimacs,
     true_space,
 )
+from cnotsat import cli
 from cnotsat.cli import main
 from conftest import PAPER_1SAT, PAPER_3SAT
 
@@ -199,6 +200,37 @@ class TestVerify:
         assert "FAIL --dimacs" in capsys.readouterr().out
 
 
+class TestParserReuse:
+    """main() parses with one parser per process; no call sees another's
+    arguments or defaults."""
+
+    def test_verify_defaults_do_not_leak_into_solve(self, paper_file):
+        assert call(["verify", paper_file]) == (0, "1/1 exact matches\n")
+        status, out = call(["solve", paper_file, "--json"])
+        assert status == 0
+        data = json.loads(out)
+        assert "spectral_solutions" not in data and "paths_agree" not in data
+
+    def test_json_flag_does_not_leak(self, paper_file):
+        status, out = call(["solve", paper_file, "--json"])
+        assert status == 0 and json.loads(out)["count"] == 5
+        assert call(["solve", paper_file]) == (
+            0,
+            "5 solutions: 010 011 101 110 111\n",
+        )
+
+    def test_usage_error_then_good_call(self, paper_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", paper_file, "--no-such-flag"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        assert main(["solve", paper_file]) == 0
+        assert capsys.readouterr().out == "5 solutions: 010 011 101 110 111\n"
+
+    def test_one_parser(self):
+        assert cli.build_parser() is cli.build_parser()
+
+
 class TestRandom:
     def test_deterministic_output(self, capsys):
         assert main(["random", "4", "5", "3", "--seed", "42"]) == 0
@@ -257,6 +289,8 @@ BAD_SPIN_FILES = {
         ),
         ["solve", "--dimacs", PAPER_3SAT, "--via-spectrum", "--min-separation", "0"],
         ["spectrum", "--dimacs", PAPER_3SAT, "--min-separation=-1"],
+        ["verify", "--dimacs", ""],
+        ["solve", "--dimacs", ""],
     ],
     ids=[
         "grid",
@@ -271,9 +305,13 @@ BAD_SPIN_FILES = {
         *(f"spin-{name}" for name in BAD_SPIN_FILES),
         "solve-min-sep-0",
         "spectrum-min-sep-neg",
+        "verify-empty-dimacs",
+        "solve-empty-dimacs",
     ],
 )
-def test_failures_exit_2_with_one_line(argv, tmp_path, capsys):
+def test_failures_exit_2_with_one_line(argv, tmp_path, capsys, monkeypatch):
+    # an empty --dimacs is the input: neither stdin nor verify's corpus
+    monkeypatch.setattr("sys.stdin", io.StringIO("p cnf 1 1\n1 0\n"))
     for name, doc in BAD_SPIN_FILES.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
@@ -387,6 +425,12 @@ GOLDEN_SHA256 = {
     ),
     "spectrum table": "a1bc95d36640cd2cd377b62dc8b0a56d06214e908b581e49d9fdbdb18de6f875",
     "spectrum --trace": "f1fb311a94d92288974e028fe754e22b63f97950edb5a76b2cf414b0a30d879f",
+    "spectrum --json": (
+        "6184e5fdbd71110d8427a55c121dfb9294f85ea07876230e5b76e385012f8f6a"
+    ),
+    "spectrum --thermal": (
+        "4a627e5855cc6e14cc0219b90fa92df6ad810a0e4dc9ad7ce804dd89d56eff81"
+    ),
 }
 
 
@@ -401,10 +445,16 @@ def test_readout_bytes_are_pinned(tmp_path):
     grid = "--grid=-20500,20500,4001"
     status, table = call(["spectrum", *synthetic, "--trace", str(trace), grid])
     assert status == 0
+    status, lines_json = call(["spectrum", *synthetic, "--json"])
+    assert status == 0
+    status, thermal = call(["spectrum", *synthetic, "--thermal"])
+    assert status == 0
     outputs = {
         "solve --via-spectrum --json": solved.encode(),
         "spectrum table": table.encode(),
         "spectrum --trace": trace.read_bytes(),
+        "spectrum --json": lines_json.encode(),
+        "spectrum --thermal": thermal.encode(),
     }
     digests = {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
     assert digests == GOLDEN_SHA256

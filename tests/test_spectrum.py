@@ -2,11 +2,16 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cnotsat import (
     Assignment,
+    Clause,
+    CnfFormula,
     DegenerateMultipletError,
+    Literal,
+    Multiplet,
+    PopulationState,
     QubitLayout,
     SolutionReport,
     SpectrumLine,
@@ -14,13 +19,16 @@ from cnotsat import (
     SpinSystemError,
     alanine_3q,
     alanine_4q,
+    append_uncompute,
     brute_force_solutions,
     check_resolvable,
     compile_1sat,
+    compile_auto,
     compile_formula,
     extract_solutions,
     initial_mixed_state,
     load_spin_system,
+    marginalize,
     multiplet_lines,
     parse_dimacs,
     render,
@@ -29,7 +37,9 @@ from cnotsat import (
     thermal_reference,
 )
 from cnotsat.spectrum import (
+    MERGE_TOL_HZ,
     _check_variable_spins,
+    _merge,
     config_frequencies,
     config_frequency,
     default_match_tolerance,
@@ -139,7 +149,7 @@ class TestThermalReference:
 
     def test_no_coupled_spins_single_line(self):
         lines = thermal_reference(alanine_3q(), 0)
-        assert lines == (SpectrumLine(0.0, 1.0),)
+        assert tuple(lines) == (SpectrumLine(0.0, 1.0),)
 
     def test_same_geometry_as_multiplet(self, paper_3sat):
         circuit = compile_formula(paper_3sat)
@@ -476,23 +486,27 @@ COUPLINGS = st.one_of(
 OFFSETS = ("exact", "+tol", "-tol", "+tol+ulp", "+tol-ulp", "-tol+ulp", "-tol-ulp")
 
 
+def spin_system(couplings, shift=0.0):
+    """(system, n): the observed spin W coupled to n variable spins."""
+    n = len(couplings)
+    table = [[0.0] * (n + 1) for _ in range(n + 1)]
+    for i, j in enumerate(couplings, start=1):
+        table[0][i] = table[i][0] = j
+    system = SpinSystem(
+        names=("W",) + tuple(f"S{i}" for i in range(1, n + 1)),
+        shifts=(shift,) + (0.0,) * n,
+        observed=0,
+        couplings=tuple(tuple(row) for row in table),
+        qubit_spins=tuple(range(1, n + 1)),
+    )
+    return system, n
+
+
 @st.composite
 def spin_systems(draw, max_n=6):
     n = draw(st.integers(0, max_n))
     js = draw(st.lists(COUPLINGS, min_size=n, max_size=n))
-    names = ("W",) + tuple(f"S{i}" for i in range(1, n + 1))
-    couplings = [[0.0] * (n + 1) for _ in range(n + 1)]
-    for i, j in enumerate(js, start=1):
-        couplings[0][i] = couplings[i][0] = j
-    shift = draw(st.floats(-500.0, 500.0, allow_nan=False))
-    system = SpinSystem(
-        names=names,
-        shifts=(shift,) + (0.0,) * n,
-        observed=0,
-        couplings=tuple(tuple(row) for row in couplings),
-        qubit_spins=tuple(range(1, n + 1)),
-    )
-    return system, n
+    return spin_system(js, draw(st.floats(-500.0, 500.0, allow_nan=False)))
 
 
 @st.composite
@@ -578,3 +592,151 @@ class TestSortedMatcher:
         for line in lines:
             expected += line.amplitude * lw2 / (lw2 + (freqs - line.frequency) ** 2)
         assert np.array_equal(values, expected)
+
+
+# -- the line arrays against the per-line objects they replaced --------------
+
+
+def reference_merged(lines):
+    """The per-line merge: sort by frequency, then fold each line within
+    MERGE_TOL_HZ of the current run's first line into that run."""
+    lines = sorted(lines, key=lambda l: l.frequency)
+    out = []
+    for line in lines:
+        if out and abs(line.frequency - out[-1].frequency) <= MERGE_TOL_HZ:
+            out[-1] = SpectrumLine(
+                out[-1].frequency, out[-1].amplitude + line.amplitude
+            )
+        else:
+            out.append(line)
+    return tuple(out)
+
+
+def reference_multiplet(state, layout, system):
+    """Multiplet through the partial trace onto the work and variable wires
+    and one SpectrumLine per configuration."""
+    n = layout.num_vars
+    _check_variable_spins(system, n)
+    reduced = marginalize(state, (layout.work_wire,) + layout.var_wires)
+    signed = np.where(reduced.indices & 1, -reduced.weights, reduced.weights)
+    amplitudes = np.bincount(reduced.indices >> 1, weights=signed, minlength=1 << n)
+    return reference_merged(
+        [
+            SpectrumLine(f, a)
+            for f, a in zip(config_frequencies(system, n).tolist(), amplitudes.tolist())
+        ]
+    )
+
+
+def bits(lines):
+    """Every line's frequency and amplitude, bit for bit (signed zeros too)."""
+    return [(float(l.frequency).hex(), float(l.amplitude).hex()) for l in lines]
+
+
+def reference_thermal(system, n):
+    _check_variable_spins(system, n)
+    return reference_merged(
+        [SpectrumLine(config_frequency(system, n, c), 2.0**-n) for c in range(1 << n)]
+    )
+
+
+# Bases repeat (exact duplicates, signed zeros, infinities); steps of 0.6
+# tolerances chain lines that are each within MERGE_TOL_HZ of a neighbour but
+# not of the run's first line.
+MERGE_FREQS = st.one_of(
+    st.builds(
+        lambda base, step: base + step * 0.6 * MERGE_TOL_HZ,
+        st.sampled_from([0.0, -0.0, 1.0, -37.5, 1e-9, 2e-9]),
+        st.integers(0, 5),
+    ),
+    st.sampled_from([np.inf, -np.inf]),
+    st.floats(-1e3, 1e3),
+)
+MERGE_AMPS = st.one_of(
+    st.sampled_from([0.25, -0.25, 0.0, -0.0, 2.0**-10]),
+    st.floats(-1.0, 1.0),
+)
+
+
+@st.composite
+def pipeline_states(draw):
+    """Simulated states of random formulas on n = 0..6 variables, with and
+    without uncomputed scratch wires, each with a random spin system."""
+    system, n = draw(spin_systems())
+    literal = st.builds(Literal, st.integers(1, max(n, 1)), st.booleans())
+    clause = st.lists(literal, max_size=3 if n else 0).map(
+        lambda lits: Clause(tuple(lits))
+    )
+    formula = CnfFormula(n, tuple(draw(st.lists(clause, max_size=4))))
+    circuit = compile_auto(formula)
+    if circuit.layout.num_scratch and draw(st.booleans()):
+        circuit = append_uncompute(circuit, formula)
+    return run(circuit), circuit.layout, system
+
+
+@st.composite
+def dyadic_states(draw):
+    """Arbitrary states whose weights are multiples of 2^-u: several support
+    points can share a configuration, with either work bit."""
+    system, n = draw(spin_systems())
+    layout = QubitLayout(n, draw(st.integers(0, 2)))
+    u = draw(st.integers(0, 5))
+    points = draw(
+        st.lists(
+            st.integers(0, (1 << layout.width) - 1), min_size=1 << u, max_size=1 << u
+        )
+    )
+    populations = np.bincount(points, minlength=1 << layout.width) / (1 << u)
+    return PopulationState.from_populations(layout.width, populations), layout, system
+
+
+class TestLineArrays:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(MERGE_FREQS, MERGE_AMPS), max_size=12))
+    def test_merge_equals_per_line_merge(self, rows):
+        freqs = np.array([f for f, _ in rows], dtype=float)
+        amps = np.array([a for _, a in rows], dtype=float)
+        expected = reference_merged([SpectrumLine(f, a) for f, a in rows])
+        assert bits(_merge(freqs, amps)) == bits(expected)
+
+    @settings(max_examples=150, deadline=None)
+    @given(spin_systems())
+    @example(spin_system((20.0, 20.0)))
+    @example(spin_system((20.0, 20.0, 20.0)))
+    @example(spin_system((20.0, 40.0, 20.0)))
+    @example(spin_system((20.0, 20.0, 20.0 + 6e-10, 20.0 + 6e-10)))  # chained runs
+    @example(spin_system((np.inf, 20.0)))
+    def test_thermal_equals_per_line_merge(self, case):
+        system, n = case
+        got = outcome(lambda: bits(thermal_reference(system, n)))
+        assert got == outcome(lambda: bits(reference_thermal(system, n)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(pipeline_states(), dyadic_states()))
+    def test_multiplet_equals_marginalize_reference(self, case):
+        state, layout, system = case
+        got = outcome(lambda: bits(multiplet_lines(state, layout, system)))
+        assert got == outcome(lambda: bits(reference_multiplet(state, layout, system)))
+
+    def test_multiplet_reads_as_a_line_sequence(self):
+        lines = thermal_reference(alanine_3q(), 2)
+        assert isinstance(lines, Multiplet)
+        freqs = sorted(config_frequencies(alanine_3q(), 2).tolist())
+        assert len(lines) == 4
+        assert lines.frequencies.tolist() == freqs
+        assert list(lines) == [SpectrumLine(f, 0.25) for f in freqs]
+        assert lines[-1] == SpectrumLine(freqs[-1], 0.25)
+        assert isinstance(lines[1:3], Multiplet)
+        assert tuple(lines[1:3]) == tuple(lines)[1:3]
+        assert lines == thermal_reference(alanine_3q(), 2)
+        assert lines != tuple(lines)
+        for column in (lines.frequencies, lines.amplitudes):
+            assert column.dtype == np.float64
+            with pytest.raises(ValueError):
+                column[0] = 0.0
+
+    def test_narrow_state_rejected(self):
+        with pytest.raises(ValueError, match="kept wire out of range"):
+            multiplet_lines(
+                initial_mixed_state(QubitLayout(0, 0)), QubitLayout(1, 0), alanine_3q()
+            )

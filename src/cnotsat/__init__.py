@@ -38,7 +38,6 @@ from .sim import (
     PipelineFormError,
     PopulationState,
     SolutionReport,
-    apply_gate,
     initial_mixed_state,
     marginalize,
     run,

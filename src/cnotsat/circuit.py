@@ -53,12 +53,6 @@ class Mcx:
 Gate = Not | Mcx
 
 
-def gate_wires(gate: Gate) -> frozenset[int]:
-    if isinstance(gate, Not):
-        return frozenset((gate.target,))
-    return gate.controls | {gate.target}
-
-
 @dataclass(frozen=True)
 class QubitLayout:
     """Role map: work wire 0, variable wires 1..n, scratch wires n+1..n+m."""

@@ -242,7 +242,7 @@ def _verify_one(formula: cnf.CnfFormula, args) -> str | None:
 
 def cmd_verify(args) -> int:
     instances: list[tuple[str, cnf.CnfFormula]] = []
-    if args.input or args.dimacs is not None:
+    if args.input is not None or args.dimacs is not None:
         name = "--dimacs" if args.dimacs is not None else args.input
         instances.append((name, _read_input(args)))
     else:

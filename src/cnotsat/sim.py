@@ -1,12 +1,15 @@
-"""Exact simulation of diagonal mixed states under permutation circuits.
+"""Exact simulation of the pipeline's diagonal mixed state under
+permutation circuits.
 
-NOT and MCX gates only permute the computational basis, so the diagonal is a
-complete description; no coherences ever appear.  A permutation also keeps
-the number of weighted basis states fixed, so a state is stored on its
-support: one int64 basis index and one float64 weight per point.  The
-pipeline's uniform mixture over 2^n assignments keeps exactly 2^n points
-through any circuit, 16 bytes x 2^n whatever the number of scratch wires.
-Gates map the index array and never touch the weights.
+NOT and MCX gates only permute the computational basis, so the diagonal is
+a complete description; no coherences ever appear.  The pipeline starts
+from the uniform mixture over the 2^n variable assignments with the work
+and scratch wires at 0, and a permutation only moves the basis state each
+assignment sits on: every assignment keeps weight 2^-n.  So a state is
+stored bit-sliced, one packed row of 2^n bits per wire, indexed by the
+initial assignment: width x ceil(2^n / 8) bytes for any number of wires.
+NOT inverts a row, MCX XORs the AND of its control rows into its target
+row, and the work row is the readout.
 """
 
 from __future__ import annotations
@@ -15,61 +18,56 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, Gate, QubitLayout, gate_permutation_indices, gate_wires
+from .circuit import Circuit, Not, QubitLayout
 from .cnf import Assignment
 
 WIDTH_CAP = 24
-INDEX_BITS = 63  # basis indices are non-negative int64
-WEIGHT_TOL = 1e-12
 
 
 class PipelineFormError(ValueError):
-    """State is not of the uniform single-survivor form the pipeline produces."""
+    """State is not of the form the pipeline produces: a variable wire was
+    not restored, so a column no longer holds its own assignment."""
+
+
+def _row_bytes(num_vars: int) -> int:
+    return ((1 << num_vars) + 7) // 8
 
 
 @dataclass(frozen=True, eq=False)
 class PopulationState:
-    """Normalized diagonal density operator on 2^width basis states, stored
-    as its support: basis state indices[k] carries weight weights[k]."""
+    """Normalized diagonal density operator on 2^width basis states, one
+    point of weight 2^-num_vars per initial assignment.  Bit c of row w of
+    the read-only uint8 array planes (packed with bitorder="little") is wire
+    w of the basis state that assignment c sits on; bits past column
+    2^num_vars - 1 are padding and never read."""
 
-    width: int
-    indices: np.ndarray
-    weights: np.ndarray
+    num_vars: int
+    planes: np.ndarray
 
     def __post_init__(self) -> None:
-        if not 0 <= self.width <= INDEX_BITS:
-            raise ValueError(f"width {self.width} outside 0..{INDEX_BITS}")
-        if not np.issubdtype(self.indices.dtype, np.integer):
-            raise ValueError("basis indices must be integers")
-        if self.indices.ndim != 1 or self.indices.shape != self.weights.shape:
-            raise ValueError("support indices and weights differ in shape")
-        if self.indices.size:
-            if int(self.indices.min()) < 0 or int(self.indices.max()) >> self.width:
-                raise ValueError(f"basis index outside width {self.width}")
-            # sort-and-compare: np.unique lazily imports numpy.ma on first use
-            ordered = np.sort(self.indices)
-            if np.any(ordered[1:] == ordered[:-1]):
-                raise ValueError("repeated basis index in support")
-        if np.any(self.weights < 0):
-            raise ValueError("negative population weight")
-        if not abs(float(self.weights.sum()) - 1.0) <= WEIGHT_TOL:  # NaN fails too
-            raise ValueError("populations do not sum to 1")
+        # a read-only view: an array the caller passed in stays writeable
+        planes = np.asarray(self.planes, dtype=np.uint8).view()
+        if planes.ndim != 2 or planes.shape[1] != _row_bytes(self.num_vars):
+            raise ValueError(
+                f"planes of shape {planes.shape} for {self.num_vars} variables"
+            )
+        planes.flags.writeable = False
+        object.__setattr__(self, "planes", planes)
 
-    @classmethod
-    def from_populations(cls, width: int, populations: np.ndarray) -> "PopulationState":
-        """Support of a dense vector of 2^width weights."""
-        populations = np.asarray(populations, dtype=float)
-        if populations.shape != (1 << width,):
-            raise ValueError("population vector length mismatch")
-        indices = np.flatnonzero(populations)
-        return cls(width, indices, populations[indices])
+    @property
+    def width(self) -> int:
+        return self.planes.shape[0]
 
     @property
     def populations(self) -> np.ndarray:
-        """Dense view of 2^width weights, built on each access."""
-        dense = np.zeros(1 << self.width)
-        dense[self.indices] = self.weights
-        return dense
+        """Dense view of 2^width weights, built on each access.  Columns on
+        one basis state add up; 2^-n times a count is exact."""
+        n = self.num_vars
+        bits = np.unpackbits(self.planes, axis=1, count=1 << n, bitorder="little")
+        index = np.zeros(1 << n, dtype=np.int64)
+        for wire, row in enumerate(bits):
+            index |= row.astype(np.int64) << wire
+        return np.bincount(index, minlength=1 << self.width) * 2.0**-n
 
 
 def bitstring_labels(configs: np.ndarray, num_vars: int) -> list[str]:
@@ -128,6 +126,20 @@ class SolutionReport:
         return tuple(bitstring_labels(np.flatnonzero(self.satisfying), self.num_vars))
 
 
+def _variable_rows(num_vars: int) -> np.ndarray:
+    """Input rows of wires 1..n: bit c of row i-1 is bit i-1 of c.  Row i-1
+    repeats with period 2^i columns, so rows 0..2 are one constant byte and
+    later rows alternate runs of 0x00 and 0xFF bytes."""
+    rows = np.zeros((num_vars, _row_bytes(num_vars)), dtype=np.uint8)
+    for bit, row in enumerate(rows):
+        if bit < 3:
+            row[:] = (0xAA, 0xCC, 0xF0)[bit]
+        else:
+            run = 1 << (bit - 3)
+            row.reshape(-1, 2 * run)[:, run:] = 0xFF
+    return rows
+
+
 def initial_mixed_state(
     layout: QubitLayout, width_cap: int = WIDTH_CAP
 ) -> PopulationState:
@@ -136,80 +148,75 @@ def initial_mixed_state(
     if width > width_cap:
         raise ValueError(f"width {width} exceeds cap {width_cap}")
     n = layout.num_vars
-    indices = np.arange(1 << n, dtype=np.int64) << 1
-    return PopulationState(width, indices, np.full(1 << n, 2.0**-n))
-
-
-def apply_gate(state: PopulationState, gate: Gate) -> PopulationState:
-    """Move each support point along the gate's basis permutation."""
-    if max(gate_wires(gate)) >= state.width:
-        raise ValueError(f"gate {gate} exceeds state width {state.width}")
-    indices = gate_permutation_indices(state.indices, gate)
-    return PopulationState(state.width, indices, state.weights)
+    planes = np.zeros((width, _row_bytes(n)), dtype=np.uint8)
+    planes[1 : n + 1] = _variable_rows(n)
+    return PopulationState(n, planes)
 
 
 def run(circuit: Circuit, width_cap: int = WIDTH_CAP) -> PopulationState:
     state = initial_mixed_state(circuit.layout, width_cap)
-    indices = state.indices
+    planes = state.planes.copy()
+    scratch = np.empty(planes.shape[1], dtype=np.uint8)
     for gate in circuit.gates:  # Circuit has checked every wire against its width
-        indices = gate_permutation_indices(indices, gate)
-    return PopulationState(state.width, indices, state.weights)
+        target = planes[gate.target]
+        if isinstance(gate, Not):
+            np.invert(target, out=target)
+            continue
+        first, *rest = gate.controls
+        control = planes[first]
+        if rest:
+            control = np.bitwise_and(control, planes[rest[0]], out=scratch)
+            for wire in rest[1:]:
+                np.bitwise_and(control, planes[wire], out=control)
+        np.bitwise_xor(target, control, out=target)
+    return PopulationState(state.num_vars, planes)
 
 
-def true_space(
-    state: PopulationState, layout: QubitLayout, tol: float = 1e-9
-) -> SolutionReport:
-    """Partition assignments by the work bit of their surviving basis state.
+def work_mask(state: PopulationState, num_vars: int) -> np.ndarray:
+    """Work bit of the basis state each assignment ends on, as a boolean
+    mask over the 2^n assignments.  Raises PipelineFormError when a
+    variable row differs from its input row: the circuit did not restore
+    that variable, so its column no longer names its assignment."""
+    if state.num_vars != num_vars:
+        raise ValueError(f"state on {state.num_vars} variables read as {num_vars}")
+    n = num_vars
+    moved = state.planes[1 : n + 1] ^ _variable_rows(n)
+    if n < 3:  # one byte, whose bits past column 2^n - 1 are padding
+        moved &= (1 << (1 << n)) - 1
+    changed = np.flatnonzero(moved.any(axis=1))
+    if changed.size:
+        raise PipelineFormError(
+            f"circuit does not restore variable x{changed[0] + 1}"
+        )
+    return np.unpackbits(state.planes[0], count=1 << n, bitorder="little").view(bool)
 
-    Requires pipeline form: for every assignment exactly one work/scratch
-    pattern carries weight, equal to 2^-n.
-    """
+
+def true_space(state: PopulationState, layout: QubitLayout) -> SolutionReport:
+    """Partition assignments by the work bit of the basis state each one
+    ends on.  Requires pipeline form: every variable wire restored."""
     if state.width != layout.width:
         raise ValueError(f"state width {state.width} != layout width {layout.width}")
-    n = layout.num_vars
-    weighted = state.weights > tol
-    indices = state.indices[weighted]
-    weights = state.weights[weighted]
-    configs = (indices >> 1) & ((1 << n) - 1)
-    bad = np.bincount(configs, minlength=1 << n) != 1
-    bad[configs[np.abs(weights - 2.0**-n) > tol]] = True
-    if bad.any():
-        a = int(np.argmax(bad))
-        raise PipelineFormError(
-            f"assignment {a:0{n}b} has weight split across patterns"
-        )
-    satisfied = np.zeros(1 << n, dtype=bool)
-    satisfied[configs] = (indices & 1).astype(bool)
-    return SolutionReport(n, satisfied)
+    return SolutionReport(layout.num_vars, work_mask(state, layout.num_vars))
 
 
 def marginalize(state: PopulationState, keep: tuple[int, ...]) -> PopulationState:
     """Trace out all wires not in `keep`; kept wires are renumbered in
-    ascending order of their original index.  Support points that land on
-    the same reduced index are summed, so the result never outgrows the
-    input's support."""
+    ascending order of their original index.  Assignments landing on one
+    reduced basis state add up in `populations`."""
     keep = tuple(sorted(set(keep)))
     if not keep:
         raise ValueError("must keep at least one wire")
-    if max(keep) >= state.width:
+    if keep[0] < 0 or keep[-1] >= state.width:
         raise ValueError("kept wire out of range")
-    reduced = np.zeros_like(state.indices)
-    for j, wire in enumerate(keep):
-        reduced |= ((state.indices >> wire) & 1) << j
-    order = np.argsort(reduced, kind="stable")
-    reduced = reduced[order]
-    starts = np.flatnonzero(np.diff(reduced, prepend=-1))
-    weights = np.add.reduceat(state.weights[order], starts)
-    return PopulationState(len(keep), reduced[starts], weights)
+    return PopulationState(state.num_vars, state.planes[list(keep)])
 
 
 def state_table(state: PopulationState) -> str:
     """Two-column table of the weighted basis states in index order:
     bitstring (highest wire first) and weight."""
-    order = np.argsort(state.indices)
+    populations = state.populations
     lines = [
-        f"{format(int(index), f'0{state.width}b')} {weight:.12g}"
-        for index, weight in zip(state.indices[order], state.weights[order])
-        if weight > 0
+        f"{format(index, f'0{state.width}b')} {populations[index]:.12g}"
+        for index in np.flatnonzero(populations).tolist()
     ]
     return "\n".join(lines) + "\n"

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuit import QubitLayout
-from .sim import PopulationState, SolutionReport, bitstring_labels
+from .sim import PopulationState, SolutionReport, bitstring_labels, work_mask
 
 MERGE_TOL_HZ = 1e-9
 
@@ -158,24 +158,12 @@ def _check_variable_spins(system: SpinSystem, n: int) -> None:
             )
 
 
-def config_frequency(system: SpinSystem, n: int, config: int) -> float:
-    """Line position for one configuration of the n coupled variable spins.
-
-    Bit i-1 of config is variable x_i; spin-up (0) shifts by +J/2, spin-down
-    (1) by -J/2.
-    """
-    freq = system.shifts[system.observed]
-    for i in range(n):
-        j = system.j_to_observed(system.qubit_spins[i])
-        freq += (0.5 if not (config >> i) & 1 else -0.5) * j
-    return freq
-
-
 def config_frequencies(system: SpinSystem, n: int) -> np.ndarray:
     """Line positions of all 2^n configurations, indexed by configuration.
 
-    Adds the same terms in the same order as config_frequency, so entry c
-    equals config_frequency(system, n, c) exactly.
+    Bit i-1 of configuration c is variable x_i; spin-up (0) shifts the line
+    by +J/2, spin-down (1) by -J/2.  Entry c is the observed spin's shift
+    plus the terms for x_1..x_n, added in that order.
     """
     configs = np.arange(1 << n)
     freqs = np.full(1 << n, system.shifts[system.observed], dtype=float)
@@ -275,15 +263,13 @@ def multiplet_lines(
 
     Scratch qubits are decoupled (traced out); each variable configuration
     contributes its FALSE-minus-TRUE population as the line amplitude, so a
-    satisfying assignment shows up as a negative line.
+    satisfying assignment shows up as a negative line of -2^-n.
     """
     n = layout.num_vars
     _check_variable_spins(system, n)
     if n >= state.width:  # the work wire and var wires 1..n
         raise ValueError("kept wire out of range")
-    configs = (state.indices >> 1) & ((1 << n) - 1)
-    signed = np.where(state.indices & 1, -state.weights, state.weights)
-    amplitudes = np.bincount(configs, weights=signed, minlength=1 << n)
+    amplitudes = np.where(work_mask(state, n), -(2.0**-n), 2.0**-n)
     return _merge(config_frequencies(system, n), amplitudes)
 
 
@@ -329,19 +315,23 @@ def render(
 def check_resolvable(
     system: SpinSystem, n: int, min_separation: float
 ) -> bool:
-    """True iff all 2^n configuration frequencies are pairwise separated."""
+    """True iff all 2^n configuration frequencies are finite and pairwise
+    separated by at least min_separation and by more than MERGE_TOL_HZ, so
+    that no two lines merge and every line can be decoded."""
     if min_separation <= 0:
         raise ValueError("min_separation must be positive")
     try:
         _check_variable_spins(system, n)
     except SpinSystemError:
         return False
-    gaps = _gaps(config_frequencies(system, n))
-    return gaps.size == 0 or bool(gaps.min() >= min_separation)
-
-
-def default_match_tolerance(system: SpinSystem, n: int) -> float:
-    return _default_tolerance(config_frequencies(system, n))
+    freqs = config_frequencies(system, n)
+    if not np.isfinite(freqs).all():
+        return False
+    gaps = _gaps(freqs)
+    if not gaps.size:
+        return True
+    min_gap = float(gaps.min())
+    return min_gap >= min_separation and min_gap > MERGE_TOL_HZ
 
 
 def extract_solutions(

@@ -28,12 +28,14 @@ from cnotsat import (
     parse_dimacs,
     peephole_cancel,
 )
-from cnotsat.circuit import (
-    circuit_census,
-    circuit_to_dict,
-    gate_wires,
-)
+from cnotsat.circuit import circuit_census, circuit_to_dict
 from conftest import random_formula
+
+
+def gate_wires(gate) -> frozenset[int]:
+    if isinstance(gate, Not):
+        return frozenset((gate.target,))
+    return gate.controls | {gate.target}
 
 
 def random_circuit(seed: int, width: int = 8, max_gates: int = 50) -> Circuit:

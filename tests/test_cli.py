@@ -77,6 +77,19 @@ class TestSolve:
         assert data["solutions"] == data["spectral_solutions"] == oracle
         assert data["paths_agree"] is True
 
+    def test_width_64_via_spectrum_matches_oracle(self, capsys):
+        formula = generate_random_ksat(12, 51, 3, seed=7)
+        argv = ["solve", "--dimacs", to_dimacs(formula), "--via-spectrum", "--json"]
+        assert main(argv + ["--width-cap", "100"]) == 0
+        data = json.loads(capsys.readouterr().out)
+        oracle = [a.bitstring() for a in brute_force_solutions(formula)]
+        assert data["solutions"] == data["spectral_solutions"] == oracle
+        assert data["paths_agree"] is True
+
+    def test_wide_unit_conjunction(self, capsys):
+        assert main(["solve", "--dimacs", WIDE_UNIT, "--width-cap", "100"]) == 0
+        assert capsys.readouterr().out == "1 solution: 1\n"
+
 
 class TestCompile:
     def test_paper_counts(self, paper_file, capsys):
@@ -246,8 +259,9 @@ class TestRandom:
         assert "solution" in capsys.readouterr().out
 
 
-WIDE_UNIT = "p cnf 1 63\n" + "1 0\n" * 63  # width 65: past the int64 basis index
+WIDE_UNIT = "p cnf 1 63\n" + "1 0\n" * 63  # width 65: past an int64 basis index
 TWO_VARS = "p cnf 2 1\n1 -2 0\n"
+NEAR_TWINS = "p cnf 2 1\n1 2 0\n"
 SPIN_BASE = {  # resolvable for TWO_VARS; the observed spin is the last one
     "names": ["A", "B", "W"],
     "shifts": [0.0, 0.0, 0.0],
@@ -269,6 +283,23 @@ BAD_SPIN_FILES = {
     "scratch-coupled": {**SPIN_BASE, "scratch_qubits": ["A"]},
     "list": [SPIN_BASE],
 }
+UNDECODABLE_SPIN_FILES = {  # resolvable by line gaps alone, yet not decodable
+    "infinite": {  # one variable coupled by Infinity: lines at -inf and +inf
+        "names": ["A", "W"],
+        "shifts": [0.0, 0.0],
+        "observed": "W",
+        "couplings": [[0, float("inf")], [float("inf"), 0]],
+        "variable_qubits": ["A"],
+    },
+    "merging": {  # lines 5e-10 Hz apart, inside MERGE_TOL_HZ
+        **SPIN_BASE,
+        "couplings": [[0, 0, 20], [0, 0, 20.0000000005], [20, 20.0000000005, 0]],
+    },
+}
+UNDECODABLE_ARGS = {
+    "infinite": ["--dimacs", "p cnf 1 1\n1 0\n"],
+    "merging": ["--dimacs", NEAR_TWINS, "--min-separation", "1e-10"],
+}
 
 
 @pytest.mark.parametrize(
@@ -280,7 +311,6 @@ BAD_SPIN_FILES = {
         ["spectrum", "--dimacs", PAPER_1SAT, "--trace", "{tmp}/missing/t.csv"],
         ["random", "3", "2", "2", "-o", "{tmp}/missing/r.cnf"],
         ["verify", "--dimacs", "p cnf 25 1\n1 2 0"],
-        ["solve", "--dimacs", WIDE_UNIT, "--width-cap", "100"],
         ["compile", "--width-cap", "3", "--dimacs", "p cnf 5 1\n1 2 0"],
         ["compile", "--width-cap", "3", "--dimacs", "p cnf 5 2\n1 0\n3 0"],
         *(
@@ -291,6 +321,12 @@ BAD_SPIN_FILES = {
         ["spectrum", "--dimacs", PAPER_3SAT, "--min-separation=-1"],
         ["verify", "--dimacs", ""],
         ["solve", "--dimacs", ""],
+        ["verify", ""],
+        *(
+            [command, *UNDECODABLE_ARGS[name], "--spin-system", f"{{tmp}}/{name}.json"]
+            for name in UNDECODABLE_SPIN_FILES
+            for command in ("solve --via-spectrum", "spectrum", "verify")
+        ),
     ],
     ids=[
         "grid",
@@ -299,7 +335,6 @@ BAD_SPIN_FILES = {
         "trace",
         "random-o",
         "verify-n25",
-        "width-65",
         "compile-cap-clause",
         "compile-cap-units",
         *(f"spin-{name}" for name in BAD_SPIN_FILES),
@@ -307,14 +342,22 @@ BAD_SPIN_FILES = {
         "spectrum-min-sep-neg",
         "verify-empty-dimacs",
         "solve-empty-dimacs",
+        "verify-empty-path",
+        *(
+            f"{command.split()[0]}-{name}"
+            for name in UNDECODABLE_SPIN_FILES
+            for command in ("solve --via-spectrum", "spectrum", "verify")
+        ),
     ],
 )
 def test_failures_exit_2_with_one_line(argv, tmp_path, capsys, monkeypatch):
-    # an empty --dimacs is the input: neither stdin nor verify's corpus
+    # an empty --dimacs or input path is the input: neither stdin nor
+    # verify's corpus
     monkeypatch.setattr("sys.stdin", io.StringIO("p cnf 1 1\n1 0\n"))
-    for name, doc in BAD_SPIN_FILES.items():
+    for name, doc in {**BAD_SPIN_FILES, **UNDECODABLE_SPIN_FILES}.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(doc))
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    argv = argv[0].split() + argv[1:]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ")
@@ -409,8 +452,10 @@ def test_subcommands_agree_with_oracle(formula):
         state = run(circuit)
         assert list(true_space(state, circuit.layout).bitstrings()) == oracle
         if extra:
-            scratch = sum(1 << w for w in circuit.layout.scratch_wires)
-            assert not np.any(state.indices & scratch)
+            scratch = state.planes[list(circuit.layout.scratch_wires)]
+            count = 1 << formula.num_vars
+            bits = np.unpackbits(scratch, axis=1, count=count, bitorder="little")
+            assert not bits.any()
 
     status, out = call(["compile", "--dimacs", text])
     assert status == 0

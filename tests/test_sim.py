@@ -2,7 +2,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cnotsat import (
     Assignment,
@@ -13,10 +13,10 @@ from cnotsat import (
     PopulationState,
     QubitLayout,
     SolutionReport,
-    apply_gate,
     append_uncompute,
     brute_force_solutions,
     compile_1sat,
+    compile_auto,
     compile_formula,
     compile_single_clause,
     generate_random_ksat,
@@ -26,9 +26,18 @@ from cnotsat import (
     run,
     true_space,
 )
-from cnotsat.circuit import as_permutation, gate_permutation_indices
+from cnotsat.circuit import as_permutation
 from cnotsat.sim import bitstring_labels, state_table
 from conftest import random_formula
+from reference_sim import (
+    SupportState,
+    apply_gate,
+    initial_support,
+    planes_of_columns,
+    reference_marginalize,
+    reference_run,
+    reference_true_space,
+)
 
 
 class TestInitialState:
@@ -53,29 +62,54 @@ class TestInitialState:
         with pytest.raises(ValueError):
             initial_mixed_state(QubitLayout(30, 0))
 
+    @pytest.mark.parametrize("n", range(13))
+    def test_tiled_rows_are_the_assignment_bits(self, n):
+        layout = QubitLayout(n, 2)
+        columns = np.arange(1 << n) << 1  # bit i of column c is x_i of c
+        expected = planes_of_columns(n, layout.width, columns).planes
+        planes = initial_mixed_state(layout).planes
+        assert planes.dtype == np.uint8
+        assert planes.shape == (n + 3, max(1, (1 << n) // 8))
+        if n >= 3:  # below 3 the one byte ends in padding
+            assert np.array_equal(planes, expected)
+        assert np.array_equal(
+            np.unpackbits(planes, axis=1, count=1 << n, bitorder="little"),
+            np.unpackbits(expected, axis=1, count=1 << n, bitorder="little"),
+        )
+
+
+def one_gate(layout, *gates):
+    """Populations after `gates`, from the plane simulator; the reference's
+    apply_gate must give the same vector."""
+    reference = initial_support(layout)
+    for gate in gates:
+        reference = apply_gate(reference, gate)
+    populations = run(Circuit(layout, gates)).populations
+    assert np.array_equal(populations, reference.populations)
+    return populations
+
 
 class TestApplyGate:
     def test_work_bit_flip(self):
-        state = initial_mixed_state(QubitLayout(1, 0))
-        flipped = apply_gate(state, Not(0))
-        assert flipped.populations.tolist() == [0.0, 0.5, 0.0, 0.5]
+        flipped = one_gate(QubitLayout(1, 0), Not(0))
+        assert flipped.tolist() == [0.0, 0.5, 0.0, 0.5]
 
     def test_cnot_realizes_identity_formula(self):
         # F = x1: |10> moves to |11>, |00> stays
-        state = initial_mixed_state(QubitLayout(1, 0))
-        out = apply_gate(state, Mcx(frozenset({1}), 0))
-        assert out.populations.tolist() == [0.5, 0.0, 0.0, 0.5]
+        out = one_gate(QubitLayout(1, 0), Mcx(frozenset({1}), 0))
+        assert out.tolist() == [0.5, 0.0, 0.0, 0.5]
 
     def test_involution_pair(self):
-        state = initial_mixed_state(QubitLayout(2, 0))
-        back = apply_gate(apply_gate(state, Not(2)), Not(2))
-        assert np.array_equal(back.populations, state.populations)
+        layout = QubitLayout(2, 0)
+        back = one_gate(layout, Not(2), Not(2))
+        assert np.array_equal(back, initial_mixed_state(layout).populations)
 
     def test_weight_conserved(self):
-        state = initial_mixed_state(QubitLayout(3, 1))
-        for gate in (Not(0), Mcx(frozenset({1, 2}), 4), Not(3)):
-            state = apply_gate(state, gate)
-            assert abs(float(state.populations.sum()) - 1.0) < 1e-12
+        layout = QubitLayout(3, 1)
+        gates = (Not(0), Mcx(frozenset({1, 2}), 4), Not(3))
+        for stop in range(1, len(gates) + 1):
+            populations = one_gate(layout, *gates[:stop])
+            assert abs(float(populations.sum()) - 1.0) < 1e-12
 
 
 class TestRun:
@@ -135,11 +169,34 @@ class TestTrueSpace:
 
     def test_rejects_non_pipeline_state(self):
         layout = QubitLayout(1, 0)
-        # weight split across two work-bit patterns for x1=0
-        populations = np.array([0.25, 0.25, 0.5, 0.0])
-        state = PopulationState.from_populations(2, populations)
-        with pytest.raises(PipelineFormError):
+        # both assignments on x1=0, one with each work bit: x1=1 is lost
+        state = planes_of_columns(1, 2, [0b01, 0b00])
+        with pytest.raises(PipelineFormError, match="variable x1"):
             true_space(state, layout)
+
+    def test_unrestored_variable_is_named(self):
+        circuit = Circuit(QubitLayout(1, 0), (Not(1),))
+        with pytest.raises(PipelineFormError, match="restore variable x1"):
+            true_space(run(circuit), circuit.layout)
+
+    def test_variable_permutation_is_refused(self):
+        # x2 ^= x1 permutes the assignments one-to-one; the support reference
+        # reads such a state by final configuration, the planes refuse it
+        layout = QubitLayout(2, 0)
+        circuit = Circuit(layout, (Mcx(frozenset({1}), 2), Mcx(frozenset({2}), 0)))
+        assert reference_true_space(reference_run(circuit), layout).bitstrings() == (
+            "10",
+            "11",
+        )
+        with pytest.raises(PipelineFormError, match="restore variable x2"):
+            true_space(run(circuit), layout)
+
+    def test_state_and_layout_must_agree(self):
+        state = initial_mixed_state(QubitLayout(2, 1))
+        with pytest.raises(ValueError, match="layout width"):
+            true_space(state, QubitLayout(2, 0))
+        with pytest.raises(ValueError, match="read as 3"):
+            true_space(state, QubitLayout(3, 0))
 
     def test_partition_is_complete(self, paper_3sat):
         circuit = compile_formula(paper_3sat)
@@ -267,6 +324,16 @@ class TestOracleEquivalence:
         report = true_space(run(circuit), circuit.layout)
         assert report.true_space == brute_force_solutions(formula)
 
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(3, 12), st.floats(3.0, 6.0), st.integers(0, 9999))
+    @example(12, 6.0, 0)  # width 85
+    @example(11, 5.0, 1)  # width 67
+    def test_random_3sat_past_63_wires(self, n, ratio, seed):
+        formula = generate_random_ksat(n, round(ratio * n), 3, seed=seed)
+        circuit = compile_auto(formula, width_cap=100)
+        report = true_space(run(circuit, width_cap=100), circuit.layout)
+        assert report.true_space == brute_force_solutions(formula)
+
 
 class TestUncomputeState:
     def test_scratch_point_mass(self, paper_3sat):
@@ -304,16 +371,12 @@ def random_layout_circuit(seed: int, layout: QubitLayout, max_gates: int = 40):
     return Circuit(layout, tuple(gates))
 
 
-def dense_run(circuit):
-    """Reference: the full 2^width population vector, moved gate by gate."""
+def permutation_populations(circuit):
+    """The initial support carried through as_permutation's mapping."""
     layout = circuit.layout
     populations = np.zeros(1 << layout.width)
-    populations[np.arange(1 << layout.num_vars) << 1] = 2.0**-layout.num_vars
-    basis = np.arange(1 << layout.width, dtype=np.int64)
-    for gate in circuit.gates:
-        moved = np.empty_like(populations)
-        moved[gate_permutation_indices(basis, gate)] = populations
-        populations = moved
+    initial = np.arange(1 << layout.num_vars) << 1
+    populations[as_permutation(circuit).mapping[initial]] = 2.0**-layout.num_vars
     return populations
 
 
@@ -321,19 +384,33 @@ class TestSupportState:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 9999), st.integers(0, 11), st.integers(0, 11))
     def test_run_matches_permutation_and_dense_reference(self, seed, n, m):
+        # gates on any wire, so variables may end changed
         layout = QubitLayout(n, min(m, 11 - n))
         circuit = random_layout_circuit(seed, layout)
-        initial = initial_mixed_state(layout)
         state = run(circuit)
-        mapping = as_permutation(circuit).mapping
-        assert np.array_equal(state.indices, mapping[initial.indices])
-        assert np.array_equal(state.weights, initial.weights)
-        assert np.array_equal(state.populations, dense_run(circuit))
+        reference = reference_run(circuit)
+        assert np.array_equal(state.populations, reference.populations)
+        assert np.array_equal(state.populations, permutation_populations(circuit))
+        keep = random.Random(seed).sample(range(layout.width), seed % layout.width + 1)
+        assert np.array_equal(
+            marginalize(state, keep).populations,
+            reference_marginalize(reference, keep).populations,
+        )
 
     def test_pipeline_support_is_2_to_the_n(self, paper_3sat):
         state = run(compile_formula(paper_3sat))
         assert state.width == 7
-        assert state.indices.size == state.weights.size == 8
+        assert state.planes.shape == (7, 1)  # 8 assignments fill one byte
+        with pytest.raises(ValueError):
+            state.planes[0, 0] = 0
+
+    @pytest.mark.parametrize(
+        "num_vars, shape",
+        [(3, (2, 2)), (0, (2, 0)), (4, (3,))],
+    )
+    def test_planes_of_wrong_shape_rejected(self, num_vars, shape):
+        with pytest.raises(ValueError, match="planes of shape"):
+            PopulationState(num_vars, np.zeros(shape, dtype=np.uint8))
 
     @pytest.mark.parametrize(
         "indices, weights",
@@ -349,27 +426,48 @@ class TestSupportState:
         ],
     )
     def test_construction_rejects(self, indices, weights):
+        # the support reference accepts only normalized states
         with pytest.raises(ValueError):
-            PopulationState(3, np.array(indices), np.array(weights))
+            SupportState(3, np.array(indices), np.array(weights))
 
     def test_from_populations_keeps_nonzero_support(self):
-        state = PopulationState.from_populations(2, [0.0, 0.25, 0.0, 0.75])
+        state = SupportState.from_populations(2, [0.0, 0.25, 0.0, 0.75])
         assert state.indices.tolist() == [1, 3]
         assert state.weights.tolist() == [0.25, 0.75]
         assert state.populations.tolist() == [0.0, 0.25, 0.0, 0.75]
 
     def test_from_populations_rejects_wrong_length(self):
         with pytest.raises(ValueError):
-            PopulationState.from_populations(2, [0.5, 0.5])
+            SupportState.from_populations(2, [0.5, 0.5])
 
     def test_marginalize_sums_points_on_one_reduced_index(self):
-        state = PopulationState(3, np.array([5, 1, 4]), np.array([0.5, 0.25, 0.25]))
-        reduced = marginalize(state, (0,))
+        state = planes_of_columns(2, 3, [5, 5, 1, 4])
+        assert state.populations.tolist() == [0, 0.25, 0, 0, 0.25, 0.5, 0, 0]
+        assert marginalize(state, (0,)).populations.tolist() == [0.25, 0.75]
+        reference = SupportState(3, np.array([5, 1, 4]), np.array([0.5, 0.25, 0.25]))
+        reduced = reference_marginalize(reference, (0,))
         assert reduced.indices.tolist() == [0, 1]
         assert reduced.weights.tolist() == [0.25, 0.75]
 
     def test_true_space_rejects_wrong_weight(self):
         layout = QubitLayout(1, 0)
-        state = PopulationState(2, np.array([0, 2]), np.array([0.75, 0.25]))
+        state = SupportState(2, np.array([0, 2]), np.array([0.75, 0.25]))
         with pytest.raises(PipelineFormError, match="assignment 0"):
-            true_space(state, layout)
+            reference_true_space(state, layout)
+
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_padding_is_never_read(self, n):
+        # 2^n < 8 columns: the one byte per row ends in padding bits
+        layout = QubitLayout(n, 2)
+        twice = tuple(Not(w) for w in layout.var_wires for _ in (0, 1))
+        circuit = Circuit(layout, twice + (Not(0), Not(n + 2)))
+        state = run(circuit)
+        assert true_space(state, layout).count == 1 << n
+        scratch = marginalize(state, layout.scratch_wires)
+        assert scratch.populations.tolist() == [0.0, 0.0, 1.0, 0.0]
+        # padding bits set or clear, the readout is the same
+        noisy = state.planes | ~np.uint8((1 << (1 << n)) - 1)
+        for planes in (noisy, state.planes & np.uint8((1 << (1 << n)) - 1)):
+            padded = PopulationState(n, planes)
+            assert true_space(padded, layout) == true_space(state, layout)
+            assert np.array_equal(padded.populations, state.populations)

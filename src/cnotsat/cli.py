@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import sys
@@ -152,8 +153,12 @@ def cmd_solve(args) -> int:
 def cmd_compile(args) -> int:
     formula = _read_input(args)
     raw, chosen = _compile(formula, args)
-    counts = circ.cost_model(formula)
-    _, raw_nots = circ.circuit_census(raw)
+    # The census counts the circuit printed before peephole, uncompute
+    # blocks included; the elementary projections stay the forward circuit's.
+    raw_mcx, raw_nots = circ.circuit_census(raw)
+    counts = dataclasses.replace(
+        circ.cost_model(formula), mcx_by_arity=raw_mcx, not_count=raw_nots
+    )
     _, opt_nots = circ.circuit_census(circ.peephole_cancel(raw))
     text = circ.circuit_to_text(chosen)
     if args.output:

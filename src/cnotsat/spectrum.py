@@ -9,8 +9,11 @@ space, negative lines the TRUE space.
 
 from __future__ import annotations
 
+import functools
 import json
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -158,6 +161,33 @@ def _check_variable_spins(system: SpinSystem, n: int) -> None:
             )
 
 
+def _spin_terms(system: SpinSystem, n: int) -> np.ndarray:
+    """The observed spin's shift, then its coupling to each of x_1..x_n."""
+    if n < 0:
+        raise ValueError("negative shift count")  # what 1 << n raises
+    return np.array(
+        [system.shifts[system.observed]]
+        + [system.j_to_observed(system.qubit_spins[i]) for i in range(n)],
+        dtype=float,
+    )
+
+
+def _doubling(terms: np.ndarray) -> np.ndarray:
+    """Line positions from (shift, J_1..J_n), built by doubling: step i
+    copies the first 2^i entries above themselves, adding -J_{i+1}/2 to the
+    copies and +J_{i+1}/2 to the originals, so entry c adds its terms in
+    the order x_1..x_n, as the scalar sum does."""
+    n = terms.size - 1
+    freqs = np.empty(1 << n)
+    freqs[0] = terms[0]
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN
+        for i, j in enumerate(terms[1:].tolist()):
+            half = freqs[: 1 << i]
+            np.add(half, -0.5 * j, out=freqs[1 << i : 2 << i])
+            np.add(half, 0.5 * j, out=half)
+    return freqs
+
+
 def config_frequencies(system: SpinSystem, n: int) -> np.ndarray:
     """Line positions of all 2^n configurations, indexed by configuration.
 
@@ -165,42 +195,61 @@ def config_frequencies(system: SpinSystem, n: int) -> np.ndarray:
     by +J/2, spin-down (1) by -J/2.  Entry c is the observed spin's shift
     plus the terms for x_1..x_n, added in that order.
     """
-    configs = np.arange(1 << n)
-    freqs = np.full(1 << n, system.shifts[system.observed], dtype=float)
-    for i in range(n):
-        j = system.j_to_observed(system.qubit_spins[i])
-        freqs += np.where((configs >> i) & 1, -0.5, 0.5) * j
-    return freqs
+    return _doubling(_spin_terms(system, n))
 
 
-def _gaps(freqs: np.ndarray) -> np.ndarray:
-    """Distances between neighbouring configuration lines."""
-    ordered = np.sort(freqs)
-    return ordered[1:] - ordered[:-1]
+class _Positions(NamedTuple):
+    """Read-only line positions of one spin system, sorted once: the stable
+    argsort `order`, the positions in that order, and the smallest gap
+    between neighbours (inf for a single line; NaN next to a NaN or between
+    equal infinities)."""
+
+    order: np.ndarray
+    ordered: np.ndarray
+    min_gap: float
 
 
-def _default_tolerance(freqs: np.ndarray) -> float:
-    gaps = _gaps(freqs)
-    min_gap = float(gaps.min()) if gaps.size else 1.0
+def _positions(system: SpinSystem, n: int) -> _Positions:
+    # Keyed on the float bits, not the system: systems that compare equal
+    # can differ in bits (shifts 0.0 and -0.0 at n=0), and equal systems
+    # built anew share an entry.
+    return _sorted_positions(_spin_terms(system, n).tobytes())
+
+
+@functools.lru_cache(maxsize=8)  # at most 8 x 16 B x 2^n retained
+def _sorted_positions(key: bytes) -> _Positions:
+    freqs = _doubling(np.frombuffer(key))
+    order = np.argsort(freqs, kind="stable")
+    ordered = freqs[order]
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN
+        gaps = np.diff(ordered)
+    min_gap = float(gaps.min()) if gaps.size else math.inf
+    order.flags.writeable = False
+    ordered.flags.writeable = False
+    return _Positions(order, ordered, min_gap)
+
+
+def _default_tolerance(positions: _Positions) -> float:
+    # a lone line gets 0.25; a NaN gap 1.0, as min() keeps its first argument
+    min_gap = positions.min_gap if positions.ordered.size > 1 else 1.0
     return min(1.0, min_gap / 4.0)
 
 
 def _match(
-    config_freqs: np.ndarray, line_freqs: np.ndarray, tolerance: float
+    positions: _Positions, line_freqs: np.ndarray, tolerance: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Place every line among the configurations, in O((2^n + lines) log 2^n).
+    """Place every line among the configurations, in O(2^n + lines log 2^n).
 
     Returns (config, hits) per line at x: hits counts the configurations c
-    with abs(config_freqs[c] - x) <= tolerance, and config is one of them
-    (meaningful when hits == 1).  fl(f - x) is monotone in f, so those
-    configurations form one run of the sorted positions.  searchsorted
-    finds it from the rounded x -/+ tolerance, which can be off by a
-    rounding step at either end; each end is then moved, one run of equal
-    positions at a time, until the exact test holds just inside the window
-    and fails just outside it.
+    with abs(f_c - x) <= tolerance, and config is one of them (meaningful
+    when hits == 1).  fl(f - x) is monotone in f, so those configurations
+    form one run of the sorted positions.  searchsorted finds it from the
+    rounded x -/+ tolerance, which can be off by a rounding step at either
+    end; each end is then moved, one run of equal positions at a time,
+    until the exact test holds just inside the window and fails just
+    outside it.
     """
-    order = np.argsort(config_freqs, kind="stable")
-    ordered = config_freqs[order]
+    order, ordered, _ = positions
     # A NaN on each side is never a hit, so positions -1 and 2^n need no
     # bounds checks: padded[at + 1] is ordered[at].
     padded = np.concatenate(([np.nan], ordered, [np.nan]))
@@ -256,6 +305,14 @@ def _merge(frequencies: np.ndarray, amplitudes: np.ndarray) -> Multiplet:
     return Multiplet(frequencies[starts], merged)
 
 
+def _config_multiplet(positions: _Positions, amplitudes: np.ndarray) -> Multiplet:
+    """The lines of configuration c at position c with amplitudes[c]."""
+    order, ordered, min_gap = positions
+    if min_gap > MERGE_TOL_HZ:  # no two lines merge (False for a NaN gap)
+        return Multiplet(ordered, amplitudes[order])
+    return _merge(ordered, amplitudes[order])
+
+
 def multiplet_lines(
     state: PopulationState, layout: QubitLayout, system: SpinSystem
 ) -> Multiplet:
@@ -270,7 +327,7 @@ def multiplet_lines(
     if n >= state.width:  # the work wire and var wires 1..n
         raise ValueError("kept wire out of range")
     amplitudes = np.where(work_mask(state, n), -(2.0**-n), 2.0**-n)
-    return _merge(config_frequencies(system, n), amplitudes)
+    return _config_multiplet(_positions(system, n), amplitudes)
 
 
 def thermal_reference(system: SpinSystem, n: int) -> Multiplet:
@@ -279,7 +336,7 @@ def thermal_reference(system: SpinSystem, n: int) -> Multiplet:
     Defines the phase convention against which signed spectra are read.
     """
     _check_variable_spins(system, n)
-    return _merge(config_frequencies(system, n), np.full(1 << n, 2.0**-n))
+    return _config_multiplet(_positions(system, n), np.full(1 << n, 2.0**-n))
 
 
 def render(
@@ -296,6 +353,10 @@ def render(
         raise ValueError("need at least 2 grid points")
     if linewidth <= 0:
         raise ValueError("linewidth must be positive")
+    if not (math.isfinite(f_min) and math.isfinite(f_max)):
+        raise ValueError("grid bounds must be finite")
+    if not math.isfinite(linewidth):
+        raise ValueError("linewidth must be finite")
     freqs = np.linspace(f_min, f_max, points)
     values = np.zeros_like(freqs)
     term = np.empty_like(freqs)
@@ -318,19 +379,16 @@ def check_resolvable(
     """True iff all 2^n configuration frequencies are finite and pairwise
     separated by at least min_separation and by more than MERGE_TOL_HZ, so
     that no two lines merge and every line can be decoded."""
-    if min_separation <= 0:
+    if not min_separation > 0:  # NaN included
         raise ValueError("min_separation must be positive")
     try:
         _check_variable_spins(system, n)
     except SpinSystemError:
         return False
-    freqs = config_frequencies(system, n)
-    if not np.isfinite(freqs).all():
+    _, ordered, min_gap = _positions(system, n)
+    # sorted: -inf first, +inf and NaN last; one line has min_gap inf
+    if not (math.isfinite(ordered[0]) and math.isfinite(ordered[-1])):
         return False
-    gaps = _gaps(freqs)
-    if not gaps.size:
-        return True
-    min_gap = float(gaps.min())
     return min_gap >= min_separation and min_gap > MERGE_TOL_HZ
 
 
@@ -348,15 +406,15 @@ def extract_solutions(
     several faulty lines, the first in input order is reported.
     """
     _check_variable_spins(system, n)
-    config_freqs = config_frequencies(system, n)
+    positions = _positions(system, n)
     if tolerance is None:
-        tolerance = _default_tolerance(config_freqs)
+        tolerance = _default_tolerance(positions)
     if tolerance <= 0:
         raise DegenerateMultipletError(
             "coinciding configuration frequencies; multiplet not decodable"
         )
     line_freqs, amplitudes = _columns(lines)
-    configs, hits = _match(config_freqs, line_freqs, tolerance)
+    configs, hits = _match(positions, line_freqs, tolerance)
     # Report the first faulty line in input order: no hit, several hits, or
     # a configuration that an earlier line already took.
     faulty = hits != 1
@@ -420,7 +478,16 @@ def alanine_4q() -> SpinSystem:
 
 
 def synthetic_system(n: int, base_j: float = 20.0) -> SpinSystem:
-    """Resolvable n-variable system with binary-weighted couplings."""
+    """Resolvable n-variable system with binary-weighted couplings.
+
+    Cached, as the system is immutable and the CLI asks for it on every
+    call; repr(base_j) keeps -0.0 and 0.0, which hash equal, apart.
+    """
+    return _synthetic_system(n, base_j, repr(base_j))
+
+
+@functools.lru_cache(maxsize=8)
+def _synthetic_system(n: int, base_j: float, _key: str) -> SpinSystem:
     names = ("W",) + tuple(f"S{i}" for i in range(1, n + 1))
     shifts = (0.0,) * (n + 1)
     couplings = [[0.0] * (n + 1) for _ in range(n + 1)]
@@ -492,11 +559,11 @@ def line_table(
 
     A line that does not match exactly one configuration is labelled "?".
     """
-    config_freqs = config_frequencies(system, n)
+    positions = _positions(system, n)
     line_freqs, amplitudes = _columns(lines)
     order = np.argsort(line_freqs, kind="stable")
     line_freqs, amplitudes = line_freqs[order], amplitudes[order]
-    configs, hits = _match(config_freqs, line_freqs, _default_tolerance(config_freqs))
+    configs, hits = _match(positions, line_freqs, _default_tolerance(positions))
     labels = bitstring_labels(configs, n)
     for unmatched in np.flatnonzero(hits != 1).tolist():
         labels[unmatched] = "?"

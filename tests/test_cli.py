@@ -16,6 +16,7 @@ from cnotsat import (
     circuit_from_text,
     circuit_to_text,
     compile_auto,
+    cost_model,
     generate_random_ksat,
     parse_dimacs,
     peephole_cancel,
@@ -24,6 +25,7 @@ from cnotsat import (
     true_space,
 )
 from cnotsat import cli
+from cnotsat.circuit import circuit_census
 from cnotsat.cli import main
 from conftest import PAPER_1SAT, PAPER_3SAT
 
@@ -121,6 +123,28 @@ class TestCompile:
         out = capsys.readouterr().out
         assert out.startswith("qbc 34 10 23")
         assert "elementary C-NOT: 201" in out  # 3(3m-2) at m=23
+
+    @pytest.mark.parametrize(
+        "text", [PAPER_3SAT, "p cnf 3 2\n1 2 3 0\n-1 2 0\n"], ids=["paper", "two"]
+    )
+    @pytest.mark.parametrize(
+        "extra", [[], ["--uncompute"]], ids=["forward", "uncompute"]
+    )
+    def test_counts_the_printed_circuit(self, text, extra, capsys):
+        argv = ["compile", "--dimacs", text, "--no-peephole"] + extra
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        mcx, nots = circuit_census(circuit_from_text(out.split("mcx gates:")[0]))
+        arities = " ".join(f"C{k}-NOT: {v}" for k, v in sorted(mcx.items()))
+        assert f"mcx gates: {arities}\nnot gates: {nots}\n" in out
+        assert out.endswith(f"(before: {nots})\n")
+        forward = cost_model(parse_dimacs(text))
+        assert f"elementary C-NOT: {forward.elementary_cnot}\n" in out
+        assert main(argv + ["--json"]) == 0
+        counts = json.loads(capsys.readouterr().out)["counts"]
+        assert counts["mcx_by_arity"] == {str(k): v for k, v in mcx.items()}
+        assert counts["not_count"] == counts["not_count_before_peephole"] == nots
+        assert counts["elementary_single"] == forward.elementary_single
 
 
 class TestSpectrum:
@@ -302,11 +326,23 @@ UNDECODABLE_ARGS = {
 }
 
 
+NON_FINITE_TRACE_SETTINGS = {
+    "grid-nan": ["--grid=nan,1,5"],
+    "grid-inf": ["--grid=0,inf,5"],
+    "linewidth-nan": ["--linewidth", "nan"],
+    "linewidth-inf": ["--linewidth", "inf"],
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["spectrum", "--dimacs", PAPER_1SAT, "--trace", "{tmp}/t.csv", "--grid=a,b,c"],
         ["spectrum", "--dimacs", PAPER_1SAT, "--trace", "{tmp}/t.csv", "--grid=1,0,9"],
+        *(
+            ["spectrum", "--dimacs", PAPER_1SAT, "--trace", "{tmp}/t.csv", *setting]
+            for setting in NON_FINITE_TRACE_SETTINGS.values()
+        ),
         ["compile", "--dimacs", PAPER_3SAT, "-o", "{tmp}/missing/c.qbc"],
         ["spectrum", "--dimacs", PAPER_1SAT, "--trace", "{tmp}/missing/t.csv"],
         ["random", "3", "2", "2", "-o", "{tmp}/missing/r.cnf"],
@@ -319,6 +355,7 @@ UNDECODABLE_ARGS = {
         ),
         ["solve", "--dimacs", PAPER_3SAT, "--via-spectrum", "--min-separation", "0"],
         ["spectrum", "--dimacs", PAPER_3SAT, "--min-separation=-1"],
+        ["solve", "--dimacs", PAPER_3SAT, "--via-spectrum", "--min-separation", "nan"],
         ["verify", "--dimacs", ""],
         ["solve", "--dimacs", ""],
         ["verify", ""],
@@ -331,6 +368,7 @@ UNDECODABLE_ARGS = {
     ids=[
         "grid",
         "grid-order",
+        *NON_FINITE_TRACE_SETTINGS,
         "compile-o",
         "trace",
         "random-o",
@@ -340,6 +378,7 @@ UNDECODABLE_ARGS = {
         *(f"spin-{name}" for name in BAD_SPIN_FILES),
         "solve-min-sep-0",
         "spectrum-min-sep-neg",
+        "solve-min-sep-nan",
         "verify-empty-dimacs",
         "solve-empty-dimacs",
         "verify-empty-path",
@@ -362,6 +401,31 @@ def test_failures_exit_2_with_one_line(argv, tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["spectrum", "--trace", "{tmp}/t.csv", "--grid=-inf,1,5"],
+            "cannot render trace: grid bounds must be finite",
+        ),
+        (
+            ["spectrum", "--trace", "{tmp}/t.csv", "--linewidth", "nan"],
+            "cannot render trace: linewidth must be finite",
+        ),
+        (
+            ["solve", "--via-spectrum", "--min-separation", "nan"],
+            "bad --min-separation: min_separation must be positive",
+        ),
+    ],
+    ids=["grid", "linewidth", "min-separation"],
+)
+def test_non_finite_settings_are_named(argv, message, tmp_path, capsys):
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    assert main(argv + ["--dimacs", PAPER_1SAT]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "t.csv").exists()
 
 
 @pytest.mark.parametrize(

@@ -26,6 +26,7 @@ from cnotsat import (
     compile_auto,
     compile_formula,
     extract_solutions,
+    generate_random_ksat,
     initial_mixed_state,
     load_spin_system,
     multiplet_lines,
@@ -34,11 +35,15 @@ from cnotsat import (
     run,
     synthetic_system,
     thermal_reference,
+    to_dimacs,
 )
+from cnotsat import cli, spectrum
 from cnotsat.spectrum import (
     MERGE_TOL_HZ,
     _check_variable_spins,
     _merge,
+    _positions,
+    _sorted_positions,
     config_frequencies,
     line_table,
     trace_csv,
@@ -200,6 +205,11 @@ class TestRender:
             {"f_min": 1.0, "f_max": 0.0, "points": 10, "linewidth": 1.0},
             {"f_min": 0.0, "f_max": 1.0, "points": 1, "linewidth": 1.0},
             {"f_min": 0.0, "f_max": 1.0, "points": 10, "linewidth": 0.0},
+            {"f_min": np.nan, "f_max": 1.0, "points": 10, "linewidth": 1.0},
+            {"f_min": -np.inf, "f_max": 1.0, "points": 10, "linewidth": 1.0},
+            {"f_min": 0.0, "f_max": np.inf, "points": 10, "linewidth": 1.0},
+            {"f_min": 0.0, "f_max": 1.0, "points": 10, "linewidth": np.nan},
+            {"f_min": 0.0, "f_max": 1.0, "points": 10, "linewidth": np.inf},
         ],
     )
     def test_rejects_bad_grid(self, kwargs):
@@ -309,6 +319,11 @@ class TestResolvability:
             qubit_spins=(1,),
         )
         assert not check_resolvable(system, 1, 1.0)
+
+    @pytest.mark.parametrize("min_separation", [0.0, -1.0, np.nan])
+    def test_min_separation_must_be_positive(self, min_separation):
+        with pytest.raises(ValueError, match="min_separation must be positive"):
+            check_resolvable(alanine_3q(), 2, min_separation)
 
     def test_synthetic_system_resolvable(self):
         assert check_resolvable(synthetic_system(4), 4, 5.0)
@@ -517,10 +532,14 @@ def spin_system(couplings, shift=0.0):
     return system, n
 
 
+# Infinite couplings put lines at +-inf, and at NaN where they cancel.
+COUPLINGS_WITH_INF = COUPLINGS | st.sampled_from([np.inf, -np.inf])
+
+
 @st.composite
-def spin_systems(draw, max_n=6):
+def spin_systems(draw, max_n=6, couplings=COUPLINGS):
     n = draw(st.integers(0, max_n))
-    js = draw(st.lists(COUPLINGS, min_size=n, max_size=n))
+    js = draw(st.lists(couplings, min_size=n, max_size=n))
     return spin_system(js, draw(st.floats(-500.0, 500.0, allow_nan=False)))
 
 
@@ -572,12 +591,11 @@ class TestSortedMatcher:
         )
 
     @settings(max_examples=100, deadline=None)
-    @given(spin_systems(max_n=8))
+    @given(spin_systems(max_n=8, couplings=COUPLINGS_WITH_INF))
     def test_config_frequencies_equal_scalar_exactly(self, case):
         system, n = case
-        assert config_frequencies(system, n).tolist() == [
-            config_frequency(system, n, c) for c in range(1 << n)
-        ]
+        expected = float_bits([config_frequency(system, n, c) for c in range(1 << n)])
+        assert float_bits(config_frequencies(system, n)) == expected
 
     def test_zero_tolerance_counts_only_equal_positions(self):
         system = SpinSystem(
@@ -607,6 +625,73 @@ class TestSortedMatcher:
         for line in lines:
             expected += line.amplitude * lw2 / (lw2 + (freqs - line.frequency) ** 2)
         assert np.array_equal(values, expected)
+
+
+def float_bits(values):
+    """float64 bit patterns: tell -0.0 from 0.0, and NaN payloads apart."""
+    return np.asarray(values, dtype=np.float64).view(np.uint64).tolist()
+
+
+class TestPositionTable:
+    @settings(max_examples=150, deadline=None)
+    @given(spin_systems(max_n=8, couplings=COUPLINGS_WITH_INF))
+    @example(spin_system((np.inf, -np.inf)))
+    @example(spin_system((20.0, 20.0), shift=-0.0))
+    def test_entry_equals_scalar_reference(self, case):
+        system, n = case
+        freqs = np.array([config_frequency(system, n, c) for c in range(1 << n)])
+        order, ordered, min_gap = _positions(system, n)
+        assert order.tolist() == np.argsort(freqs, kind="stable").tolist()
+        assert float_bits(ordered) == float_bits(freqs[order])
+        with np.errstate(invalid="ignore"):
+            gaps = np.diff(np.sort(freqs))
+        expected = float(gaps.min()) if gaps.size else np.inf
+        assert min_gap == expected or np.isnan(min_gap) and np.isnan(expected)
+
+    @pytest.mark.parametrize("first", [-0.0, 0.0])
+    def test_signed_zero_shifts_do_not_alias(self, first):
+        for shift in (first, -first):
+            system, n = spin_system((), shift=shift)
+            assert float_bits(_positions(system, n).ordered) == float_bits([shift])
+            lines = thermal_reference(system, n)
+            assert float_bits(lines.frequencies) == float_bits([shift])
+
+    def test_entries_are_read_only_and_bounded(self):
+        order, ordered, _ = _positions(alanine_4q(), 3)
+        for column in (order, ordered):
+            with pytest.raises(ValueError):
+                column[0] = 0
+        assert _sorted_positions.cache_info().maxsize == 8
+
+    def test_equal_systems_share_one_entry(self, monkeypatch):
+        builds = count_calls(monkeypatch, "_doubling")
+        first = _positions(*spin_system((20.0, 40.0)))
+        assert _positions(*spin_system((20.0, 40.0))) is first
+        assert builds == [1]
+
+    def test_solve_builds_the_table_at_most_once(self, monkeypatch, capsys):
+        builds = count_calls(monkeypatch, "_doubling")
+        formula = to_dimacs(generate_random_ksat(8, 12, 3, seed=5))
+        argv = ["solve", "--dimacs", formula, "--via-spectrum"]
+        assert cli.main(argv + ["--spin-system", "synthetic"]) == 0
+        assert builds == [1]
+        spectrum._synthetic_system.cache_clear()  # a new, equal system
+        assert cli.main(argv + ["--spin-system", "synthetic"]) == 0
+        assert builds == [1]
+        assert "agree" in capsys.readouterr().out
+
+
+def count_calls(monkeypatch, name):
+    """Count the calls to spectrum.<name> in a one-element list."""
+    calls = [0]
+    inner = getattr(spectrum, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return inner(*args)
+
+    monkeypatch.setattr(spectrum, name, counted)
+    return calls
 
 
 # -- the line arrays against the per-line objects they replaced --------------

@@ -209,14 +209,23 @@ class _Positions(NamedTuple):
     min_gap: float
 
 
+# Only tables of up to 4 MB (n <= 18) are cached, so the cache holds at most
+# 32 MB; a larger table, bigger than the bit-plane state it serves, is built
+# for each call and dropped after it.
+_CACHE_MAX_BYTES = 1 << 22
+
+
 def _positions(system: SpinSystem, n: int) -> _Positions:
     # Keyed on the float bits, not the system: systems that compare equal
     # can differ in bits (shifts 0.0 and -0.0 at n=0), and equal systems
     # built anew share an entry.
-    return _sorted_positions(_spin_terms(system, n).tobytes())
+    key = _spin_terms(system, n).tobytes()
+    if 16 << n > _CACHE_MAX_BYTES:  # 16 B per configuration
+        return _sorted_positions.__wrapped__(key)
+    return _sorted_positions(key)
 
 
-@functools.lru_cache(maxsize=8)  # at most 8 x 16 B x 2^n retained
+@functools.lru_cache(maxsize=8)
 def _sorted_positions(key: bytes) -> _Positions:
     freqs = _doubling(np.frombuffer(key))
     order = np.argsort(freqs, kind="stable")
@@ -279,12 +288,10 @@ def _match(
 
 
 def _merge(frequencies: np.ndarray, amplitudes: np.ndarray) -> Multiplet:
-    """Sort lines by frequency (stably) and merge each run that starts at a
-    line and takes every following line within MERGE_TOL_HZ of that first
-    line.  A run keeps its first frequency; its amplitudes are added in
-    sorted order."""
-    order = np.argsort(frequencies, kind="stable")
-    frequencies, amplitudes = frequencies[order], amplitudes[order]
+    """Merge lines given in stable argsort order of their frequencies: each
+    run starts at a line and takes every following line within
+    MERGE_TOL_HZ of that first line.  A run keeps its first frequency; its
+    amplitudes are added in the given order."""
     starts = np.ones(frequencies.size, dtype=bool)
     # Only a line within tolerance of its sorted neighbour can join a run;
     # a resolvable system has none.
@@ -305,14 +312,6 @@ def _merge(frequencies: np.ndarray, amplitudes: np.ndarray) -> Multiplet:
     return Multiplet(frequencies[starts], merged)
 
 
-def _config_multiplet(positions: _Positions, amplitudes: np.ndarray) -> Multiplet:
-    """The lines of configuration c at position c with amplitudes[c]."""
-    order, ordered, min_gap = positions
-    if min_gap > MERGE_TOL_HZ:  # no two lines merge (False for a NaN gap)
-        return Multiplet(ordered, amplitudes[order])
-    return _merge(ordered, amplitudes[order])
-
-
 def multiplet_lines(
     state: PopulationState, layout: QubitLayout, system: SpinSystem
 ) -> Multiplet:
@@ -327,7 +326,8 @@ def multiplet_lines(
     if n >= state.width:  # the work wire and var wires 1..n
         raise ValueError("kept wire out of range")
     amplitudes = np.where(work_mask(state, n), -(2.0**-n), 2.0**-n)
-    return _config_multiplet(_positions(system, n), amplitudes)
+    order, ordered, _ = _positions(system, n)
+    return _merge(ordered, amplitudes[order])
 
 
 def thermal_reference(system: SpinSystem, n: int) -> Multiplet:
@@ -336,7 +336,8 @@ def thermal_reference(system: SpinSystem, n: int) -> Multiplet:
     Defines the phase convention against which signed spectra are read.
     """
     _check_variable_spins(system, n)
-    return _config_multiplet(_positions(system, n), np.full(1 << n, 2.0**-n))
+    order, ordered, _ = _positions(system, n)
+    return _merge(ordered, np.full(1 << n, 2.0**-n)[order])
 
 
 def render(
@@ -478,16 +479,7 @@ def alanine_4q() -> SpinSystem:
 
 
 def synthetic_system(n: int, base_j: float = 20.0) -> SpinSystem:
-    """Resolvable n-variable system with binary-weighted couplings.
-
-    Cached, as the system is immutable and the CLI asks for it on every
-    call; repr(base_j) keeps -0.0 and 0.0, which hash equal, apart.
-    """
-    return _synthetic_system(n, base_j, repr(base_j))
-
-
-@functools.lru_cache(maxsize=8)
-def _synthetic_system(n: int, base_j: float, _key: str) -> SpinSystem:
+    """Resolvable n-variable system with binary-weighted couplings."""
     names = ("W",) + tuple(f"S{i}" for i in range(1, n + 1))
     shifts = (0.0,) * (n + 1)
     couplings = [[0.0] * (n + 1) for _ in range(n + 1)]

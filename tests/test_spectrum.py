@@ -663,6 +663,16 @@ class TestPositionTable:
                 column[0] = 0
         assert _sorted_positions.cache_info().maxsize == 8
 
+    def test_large_tables_are_not_kept(self, monkeypatch):
+        monkeypatch.setattr(spectrum, "_CACHE_MAX_BYTES", 16 << 2)
+        small = spin_system((20.0, 40.0))
+        large = spin_system((20.0, 40.0, 80.0))
+        assert _positions(*small) is _positions(*small)
+        first = _positions(*large)
+        assert _positions(*large) is not first
+        assert float_bits(_positions(*large).ordered) == float_bits(first.ordered)
+        assert _sorted_positions.cache_info().currsize == 1
+
     def test_equal_systems_share_one_entry(self, monkeypatch):
         builds = count_calls(monkeypatch, "_doubling")
         first = _positions(*spin_system((20.0, 40.0)))
@@ -675,7 +685,7 @@ class TestPositionTable:
         argv = ["solve", "--dimacs", formula, "--via-spectrum"]
         assert cli.main(argv + ["--spin-system", "synthetic"]) == 0
         assert builds == [1]
-        spectrum._synthetic_system.cache_clear()  # a new, equal system
+        # the second call builds a new, equal system and finds its table
         assert cli.main(argv + ["--spin-system", "synthetic"]) == 0
         assert builds == [1]
         assert "agree" in capsys.readouterr().out
@@ -812,7 +822,8 @@ class TestLineArrays:
         freqs = np.array([f for f, _ in rows], dtype=float)
         amps = np.array([a for _, a in rows], dtype=float)
         expected = reference_merged([SpectrumLine(f, a) for f, a in rows])
-        assert bits(_merge(freqs, amps)) == bits(expected)
+        order = np.argsort(freqs, kind="stable")
+        assert bits(_merge(freqs[order], amps[order])) == bits(expected)
 
     @settings(max_examples=150, deadline=None)
     @given(spin_systems())

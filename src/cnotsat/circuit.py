@@ -105,6 +105,12 @@ class Circuit:
                 raise ValueError(f"gate {gate} exceeds width {width}")
 
 
+# A compile first lays out its circuit as plain steps, a wire for each Not and
+# (controls, target) for each Mcx: cheap to build and to compare, so
+# append_uncompute checks its input against them without building gates.
+Step = int | tuple[frozenset[int], int]
+
+
 def compile_clause(
     clause: Clause, layout: QubitLayout, scratch_index: int
 ) -> tuple[Gate, ...]:
@@ -113,25 +119,62 @@ def compile_clause(
     Maps |x>|s=0> to |x>|s=C(x)>.  A tautological clause (x and not-x) sets
     the scratch bit with a single NOT and no MCX.
     """
-    clause = clause.deduplicated()
     if not clause.literals:
         raise CompileError("empty clause has no circuit form")
     scratch = layout.scratch_wire(scratch_index)
-    if clause.is_tautology():
-        return (Not(scratch),)
-    positive = sorted(
-        layout.var_wire(l.var) for l in clause.literals if not l.negated
-    )
-    all_wires = sorted(layout.var_wire(v) for v in clause.variables)
-    layer = tuple(Not(w) for w in positive)
-    return layer + (Mcx(frozenset(all_wires), scratch),) + layer + (Not(scratch),)
+    return tuple(_gates(_block_plan(clause, layout, scratch)))
 
 
-def _clause_blocks(
-    formula: CnfFormula, width_cap: int
-) -> tuple[QubitLayout, list[tuple[Gate, ...]]]:
-    """Check the formula for the general path and return its layout and its
-    clause blocks, block mu computing clause mu onto scratch wire mu."""
+def _signs(clause: Clause) -> dict[int, bool] | None:
+    """One pass over the literals: whether each variable is negated, in order
+    of first occurrence, or None when some variable occurs both plain and
+    negated.  Repeated literals count once."""
+    negated: dict[int, bool] = {}
+    for lit in clause.literals:
+        if negated.setdefault(lit.var, lit.negated) != lit.negated:
+            return None
+    return negated
+
+
+def _or_plan(
+    negated: dict[int, bool], layout: QubitLayout, target: int
+) -> list[Step]:
+    """The OR of a clause onto target as plain steps, a wire for each NOT and
+    (controls, target) for the MCX: NOTs on the wires of the un-negated
+    variables, in wire order, around an MCX from every variable's wire, then
+    a NOT on target.  A variable outside the layout is var_wire's ValueError."""
+    positive = [var for var, neg in negated.items() if not neg]
+    if max(negated) > layout.num_vars:  # Literal keeps every variable >= 1
+        for var in positive + list(negated):
+            layout.var_wire(var)
+    positive.sort()
+    return positive + [(frozenset(negated), target)] + positive + [target]
+
+
+def _block_plan(clause: Clause, layout: QubitLayout, scratch: int) -> list[Step]:
+    """Steps of the clause block onto scratch; a tautology only NOTs scratch."""
+    negated = _signs(clause)
+    return [scratch] if negated is None else _or_plan(negated, layout, scratch)
+
+
+def _gates(plan: list[Step]) -> list[Gate]:
+    """The gates of a plan, with one Not object per wire shared by its steps."""
+    nots: dict[int, Not] = {}
+    gates: list[Gate] = []
+    for step in plan:
+        if type(step) is tuple:
+            gates.append(Mcx(*step))
+        else:
+            gate = nots.get(step)
+            if gate is None:
+                gate = nots[step] = Not(step)
+            gates.append(gate)
+    return gates
+
+
+def _general_layout(formula: CnfFormula, width_cap: int) -> QubitLayout:
+    """Check the formula for the general path and return its layout: one
+    scratch wire per clause, clause mu computed onto scratch wire mu."""
     m = formula.num_clauses
     if m == 0:
         raise CompileError("empty formula has no circuit form")
@@ -141,25 +184,31 @@ def _clause_blocks(
     layout = QubitLayout(formula.num_vars, m)
     if layout.width > width_cap:
         raise CompileError(f"width {layout.width} exceeds cap {width_cap}")
-    blocks = [
-        compile_clause(clause, layout, mu)
-        for mu, clause in enumerate(formula.clauses, start=1)
-    ]
-    return layout, blocks
+    return layout
 
 
-def _final_and(layout: QubitLayout) -> Mcx:
-    return Mcx(frozenset(layout.scratch_wires), layout.work_wire)
+def _formula_plan(
+    formula: CnfFormula, layout: QubitLayout
+) -> tuple[list[Step], list[int]]:
+    """Steps of the general path's circuit, and the offset of each clause
+    block in them followed by the offset of the final AND."""
+    plan: list[Step] = []
+    starts: list[int] = []
+    for mu, clause in enumerate(formula.clauses, start=1):
+        starts.append(len(plan))
+        plan += _block_plan(clause, layout, layout.scratch_wire(mu))
+    starts.append(len(plan))
+    plan.append((frozenset(layout.scratch_wires), layout.work_wire))
+    return plan, starts
 
 
 def compile_formula(formula: CnfFormula, width_cap: int = 24) -> Circuit:
     """General path: one clause block per clause, then an MCX from all scratch
     wires onto the work wire.  Maps |x>|0>|0..0> to |x>|F(x)>|C_m(x)..C_1(x)>.
     """
-    layout, blocks = _clause_blocks(formula, width_cap)
-    gates = [gate for block in blocks for gate in block]
-    gates.append(_final_and(layout))
-    return Circuit(layout, tuple(gates))
+    layout = _general_layout(formula, width_cap)
+    plan, _ = _formula_plan(formula, layout)
+    return Circuit(layout, tuple(_gates(plan)))
 
 
 def compile_1sat(formula: CnfFormula) -> Circuit:
@@ -172,10 +221,10 @@ def compile_1sat(formula: CnfFormula) -> Circuit:
         raise CompileError("empty formula has no circuit form")
     literals: list = []
     for clause in formula.clauses:
-        clause = clause.deduplicated()
-        if len(clause.literals) != 1:
+        lits = clause.literals  # a unit clause once repeated literals are dropped
+        if not lits or any(lit != lits[0] for lit in lits[1:]):
             raise CompileError("not a 1-SAT formula")
-        literals.append(clause.literals[0])
+        literals.append(lits[0])
     seen_vars = [l.var for l in literals]
     if len(set(seen_vars)) != len(seen_vars):
         raise CompileError("repeated or contradictory unit clauses")
@@ -189,24 +238,14 @@ def compile_single_clause(clause: Clause, num_vars: int) -> Circuit:
     """One-clause formula: NOTs on un-negated wires around an MCX onto the work
     wire, then a NOT on the work wire.  Needs no scratch wires.
     """
-    clause = clause.deduplicated()
     if not clause.literals:
         raise CompileError("empty clause has no circuit form")
-    if clause.is_tautology():
+    negated = _signs(clause)
+    if negated is None:
         raise CompileError("tautological clause has no single-clause form")
     layout = QubitLayout(num_vars, 0)
-    positive = sorted(
-        layout.var_wire(l.var) for l in clause.literals if not l.negated
-    )
-    controls = frozenset(layout.var_wire(v) for v in clause.variables)
-    layer = tuple(Not(w) for w in positive)
-    gates = (
-        layer
-        + (Mcx(controls, layout.work_wire),)
-        + layer
-        + (Not(layout.work_wire),)
-    )
-    return Circuit(layout, gates)
+    plan = _or_plan(negated, layout, layout.work_wire)
+    return Circuit(layout, tuple(_gates(plan)))
 
 
 def peephole_cancel(circuit: Circuit) -> Circuit:
@@ -243,12 +282,21 @@ def append_uncompute(circuit: Circuit, formula: CnfFormula) -> Circuit:
     Each clause block is its own inverse, so the appended tail undoes the
     scratch computation while the copied work-bit result survives.
     """
-    layout, blocks = _clause_blocks(formula, width_cap=circuit.layout.width)
-    forward = [gate for block in blocks for gate in block] + [_final_and(layout)]
-    if layout != circuit.layout or tuple(forward) != circuit.gates:
+    layout = _general_layout(formula, width_cap=circuit.layout.width)
+    plan, starts = _formula_plan(formula, layout)
+    gates = circuit.gates
+    # Each gate as the step that builds it; a gate of any other type is None.
+    steps = [
+        gate.target if type(gate) is Not
+        else (gate.controls, gate.target) if type(gate) is Mcx
+        else None
+        for gate in gates
+    ]
+    if layout != circuit.layout or not isinstance(gates, tuple) or steps != plan:
         raise CompileError("circuit was not produced by compile_formula(formula)")
-    tail = tuple(gate for block in reversed(blocks) for gate in block)
-    return Circuit(circuit.layout, circuit.gates + tail)
+    blocks = list(zip(starts, starts[1:]))
+    tail = [gate for start, end in reversed(blocks) for gate in gates[start:end]]
+    return Circuit(circuit.layout, gates + tuple(tail))
 
 
 def compile_auto(formula: CnfFormula, width_cap: int = 24) -> Circuit:

@@ -159,7 +159,8 @@ def cmd_compile(args) -> int:
     counts = dataclasses.replace(
         circ.cost_model(formula), mcx_by_arity=raw_mcx, not_count=raw_nots
     )
-    _, opt_nots = circ.circuit_census(circ.peephole_cancel(raw))
+    peepholed = circ.peephole_cancel(raw) if args.no_peephole else chosen
+    _, opt_nots = circ.circuit_census(peepholed)
     text = circ.circuit_to_text(chosen)
     if args.output:
         _write_text(args.output, text)

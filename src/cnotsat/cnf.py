@@ -114,20 +114,23 @@ class Assignment:
 def parse_dimacs(text: str) -> CnfFormula:
     """Parse DIMACS CNF: `c` comments, one `p cnf n m` header, 0-terminated clauses.
 
-    Duplicate literals within a clause are dropped.  Empty clauses are kept
-    (they make the formula unsatisfiable; the circuit compiler rejects them).
+    Duplicate literals within a clause are dropped, keeping the first.  Empty
+    clauses are kept (they make the formula unsatisfiable; the circuit
+    compiler rejects them).  The clause body is read as one token stream,
+    and each distinct literal is built once and shared by the clauses that
+    hold it.
     """
     num_vars: int | None = None
     num_clauses: int | None = None
-    clauses: list[Clause] = []
-    current: list[Literal] = []
+    tokens: list[str] = []
 
     for raw_line in text.splitlines():
         line = raw_line.strip()
-        if not line or line.startswith("c") or line.startswith("%"):
+        if not line or line[0] == "c" or line[0] == "%":
             continue
-        if line.startswith("p"):
+        if line[0] == "p":
             if num_vars is not None:
+                _literal_values(tokens, num_vars)  # an earlier bad token comes first
                 raise DimacsError("duplicate `p cnf` header")
             parts = line.split()
             if len(parts) != 4 or parts[0] != "p" or parts[1] != "cnf":
@@ -141,31 +144,47 @@ def parse_dimacs(text: str) -> CnfFormula:
             continue
         if num_vars is None:
             raise DimacsError("clause body before `p cnf` header")
-        for token in line.split():
-            try:
-                value = int(token)
-            except ValueError as exc:
-                raise DimacsError(f"bad token {token!r}") from exc
-            if value == 0:
-                clauses.append(Clause(tuple(current)).deduplicated())
-                current = []
-            else:
-                index = abs(value)
-                if index > num_vars:
-                    raise DimacsError(
-                        f"literal {value} out of range for {num_vars} variables"
-                    )
-                current.append(Literal(index, negated=value < 0))
+        tokens += line.split()
 
     if num_vars is None:
         raise DimacsError("missing `p cnf` header")
-    if current:
+    values = _literal_values(tokens, num_vars)
+    literal = {v: Literal(abs(v), negated=v < 0) for v in set(values) if v}
+    clauses: list[Clause] = []
+    start = 0
+    for end in [i for i, value in enumerate(values) if value == 0]:
+        # dict.fromkeys keeps the first occurrence of each literal, in order
+        distinct = dict.fromkeys(values[start:end])
+        clauses.append(Clause(tuple(map(literal.__getitem__, distinct))))
+        start = end + 1
+    if start < len(values):
         raise DimacsError("unterminated clause at end of input")
     if num_clauses is not None and len(clauses) != num_clauses:
         raise DimacsError(
             f"header declares {num_clauses} clauses but {len(clauses)} found"
         )
     return CnfFormula(num_vars, tuple(clauses))
+
+
+def _literal_values(tokens: list[str], num_vars: int) -> list[int]:
+    """The clause-body tokens as integers; a DimacsError names the first
+    token that is not an integer or names a variable past num_vars."""
+    try:
+        values = list(map(int, tokens))
+        if not values or (max(values) <= num_vars and min(values) >= -num_vars):
+            return values
+    except ValueError:
+        pass
+    values = []
+    for token in tokens:
+        try:
+            value = int(token)
+        except ValueError as exc:
+            raise DimacsError(f"bad token {token!r}") from exc
+        if abs(value) > num_vars:
+            raise DimacsError(f"literal {value} out of range for {num_vars} variables")
+        values.append(value)
+    return values
 
 
 def to_dimacs(formula: CnfFormula) -> str:

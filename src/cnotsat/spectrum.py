@@ -358,10 +358,17 @@ def render(
         raise ValueError("grid bounds must be finite")
     if not math.isfinite(linewidth):
         raise ValueError("linewidth must be finite")
+    if not math.isfinite(f_max - f_min):
+        raise ValueError("grid span must be finite")
+    try:
+        lw2 = linewidth**2
+    except OverflowError:
+        lw2 = math.inf
+    if not 0 < lw2 < math.inf:
+        raise ValueError("linewidth squared must be finite and nonzero")
     freqs = np.linspace(f_min, f_max, points)
     values = np.zeros_like(freqs)
     term = np.empty_like(freqs)
-    lw2 = linewidth**2
     # One line at a time through one buffer: a lines x points block was no
     # faster and multiplies peak memory.
     line_freqs, amplitudes = _columns(lines)

@@ -6,11 +6,12 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cnotsat import (
     Clause,
     CnfFormula,
+    DimacsError,
     Literal,
     brute_force_solutions,
     circuit_from_text,
@@ -28,6 +29,7 @@ from cnotsat import cli
 from cnotsat.circuit import circuit_census
 from cnotsat.cli import main
 from conftest import PAPER_1SAT, PAPER_3SAT
+import reference_front_end
 
 
 @pytest.fixture
@@ -331,6 +333,10 @@ NON_FINITE_TRACE_SETTINGS = {
     "grid-inf": ["--grid=0,inf,5"],
     "linewidth-nan": ["--linewidth", "nan"],
     "linewidth-inf": ["--linewidth", "inf"],
+    # finite, but the square or the span leaves float range
+    "linewidth-square-overflow": ["--linewidth", "1e200"],
+    "linewidth-square-underflow": ["--linewidth", "1e-200", "--grid=-17.47,17.47,3"],
+    "grid-span-overflow": ["--grid=-1e308,1e308,5"],
 }
 
 
@@ -415,11 +421,30 @@ def test_failures_exit_2_with_one_line(argv, tmp_path, capsys, monkeypatch):
             "cannot render trace: linewidth must be finite",
         ),
         (
+            ["spectrum", "--trace", "{tmp}/t.csv", "--grid=-1e308,1e308,5"],
+            "cannot render trace: grid span must be finite",
+        ),
+        (
+            ["spectrum", "--trace", "{tmp}/t.csv", "--linewidth", "1e200"],
+            "cannot render trace: linewidth squared must be finite and nonzero",
+        ),
+        (
+            ["spectrum", "--trace", "{tmp}/t.csv", "--linewidth", "1e-200"],
+            "cannot render trace: linewidth squared must be finite and nonzero",
+        ),
+        (
             ["solve", "--via-spectrum", "--min-separation", "nan"],
             "bad --min-separation: min_separation must be positive",
         ),
     ],
-    ids=["grid", "linewidth", "min-separation"],
+    ids=[
+        "grid",
+        "linewidth",
+        "grid-span",
+        "linewidth-square-overflow",
+        "linewidth-square-underflow",
+        "min-separation",
+    ],
 )
 def test_non_finite_settings_are_named(argv, message, tmp_path, capsys):
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
@@ -525,6 +550,64 @@ def test_subcommands_agree_with_oracle(formula):
     assert status == 0
     expected = circuit_to_text(peephole_cancel(compile_auto(formula)))
     assert out.split("mcx gates:")[0] == expected
+
+
+SOUP = st.one_of(
+    st.integers(-9, 9).map(str),
+    st.sampled_from(["0", "p", "cnf", "c", "%", "x", "1.5", "--2", "+1", "٣", "\t"]),
+    st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=3),
+)
+
+
+BAD_HEADERS = ["p cnf", "p cnf x 1", "p dnf 2 1", "p cnf 2 -1", "pcnf"]
+DIMACS_FAULTS = ["soup", "bad header", "duplicate header", "range", "unterminated", "count"]
+SUBCOMMANDS = [["solve"], ["solve", "--via-spectrum"], ["compile"], ["spectrum"], ["verify"]]
+
+
+@st.composite
+def malformed_dimacs(draw) -> str:
+    """A well-formed random formula with one fault: a line of token soup, a
+    bad or duplicate header, an out-of-range literal, a clause left
+    unterminated or a clause count that does not match."""
+    n, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 999))
+    lines = to_dimacs(generate_random_ksat(n, m, draw(st.integers(1, n)), seed)).splitlines()
+    body = draw(st.integers(1, len(lines)))  # a place after the header
+    fault = draw(st.sampled_from(DIMACS_FAULTS))
+    if fault == "soup":
+        soup = " ".join(draw(st.lists(SOUP, min_size=1, max_size=5)))
+        lines.insert(draw(st.integers(0, len(lines))), soup)
+    elif fault == "bad header":
+        lines[0] = draw(st.sampled_from(BAD_HEADERS))
+    elif fault == "duplicate header":
+        lines.insert(body, lines[0])
+    elif fault == "range":
+        var = n + draw(st.integers(1, 9))
+        lines.insert(body, f"{draw(st.sampled_from([var, -var]))} 0")
+    elif fault == "unterminated":
+        clause = draw(st.lists(st.integers(1, n), min_size=1, max_size=3))
+        lines.append(" ".join(map(str, clause)))
+    else:
+        lines[0] = f"p cnf {n} {m + draw(st.sampled_from([-1, 1, 5]))}"
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(malformed_dimacs())
+def test_malformed_dimacs_exits_2_with_the_parse_error(text):
+    """Each subcommand that reads DIMACS names the reference parser's error
+    on one stderr line and exits 2."""
+    try:
+        reference_front_end.parse_dimacs(text)
+    except DimacsError as exc:
+        expected = f"error: parse error: {exc}\n"
+    else:
+        assume(False)  # the fault left a valid formula (e.g. an empty soup line)
+    for command in SUBCOMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = main([*command, f"--dimacs={text}"])
+        assert (status, out.getvalue(), err.getvalue()) == (2, "", expected)
 
 
 GOLDEN_N11 = "p cnf 11 5\n2 6 9 0\n-4 9 10 0\n-8 10 -11 0\n1 2 8 0\n-4 5 -7 0\n"

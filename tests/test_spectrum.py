@@ -210,6 +210,10 @@ class TestRender:
             {"f_min": 0.0, "f_max": np.inf, "points": 10, "linewidth": 1.0},
             {"f_min": 0.0, "f_max": 1.0, "points": 10, "linewidth": np.nan},
             {"f_min": 0.0, "f_max": 1.0, "points": 10, "linewidth": np.inf},
+            # finite settings whose arithmetic leaves float range
+            {"f_min": 0.0, "f_max": 1.0, "points": 10, "linewidth": 1e200},
+            {"f_min": 0.0, "f_max": 1.0, "points": 10, "linewidth": 1e-200},
+            {"f_min": -1e308, "f_max": 1e308, "points": 5, "linewidth": 1.0},
         ],
     )
     def test_rejects_bad_grid(self, kwargs):

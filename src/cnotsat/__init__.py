@@ -32,6 +32,7 @@ from .circuit import (
     cost_model,
     circuit_from_text,
     circuit_to_text,
+    gate_counts,
     peephole_cancel,
 )
 from .sim import (

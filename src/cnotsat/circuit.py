@@ -427,7 +427,14 @@ def circuit_census(circuit: Circuit) -> tuple[dict[int, int], int]:
 
 
 def cost_model(formula: CnfFormula) -> GateCounts:
-    """Gate counts for the circuit `compile_auto` picks (pre-peephole) with
+    """`gate_counts` of the circuit `compile_auto` picks (pre-peephole)."""
+    # Counting allocates no state, so the simulator's width cap does not apply.
+    uncapped = QubitLayout(formula.num_vars, formula.num_clauses).width
+    return gate_counts(compile_auto(formula, width_cap=uncapped))
+
+
+def gate_counts(circuit: Circuit) -> GateCounts:
+    """Gate counts of a forward circuit as `compile_auto` builds it, with
     elementary projections.
 
     Per-gate projection rule: a C1-NOT is one elementary C-NOT; a Ck-NOT
@@ -438,14 +445,12 @@ def cost_model(formula: CnfFormula) -> GateCounts:
     Every path puts its inversion layer on both sides of its MCX, so one
     layer is half the NOTs on variable wires.
     """
-    # Counting allocates no state, so the simulator's width cap does not apply.
-    uncapped = QubitLayout(formula.num_vars, formula.num_clauses).width
-    circuit = compile_auto(formula, width_cap=uncapped)
     mcx_by_arity, not_count = circuit_census(circuit)
+    num_vars = circuit.layout.num_vars
     var_nots = sum(
         1
         for gate in circuit.gates
-        if isinstance(gate, Not) and 1 <= gate.target <= formula.num_vars
+        if isinstance(gate, Not) and 1 <= gate.target <= num_vars
     )
     or_path = var_nots < not_count
 

@@ -83,18 +83,22 @@ def _write_text(path: str, text: str) -> None:
         raise CliError(f"cannot write {path}: {exc}") from exc
 
 
-def _compile(formula: cnf.CnfFormula, args) -> tuple[circ.Circuit, circ.Circuit]:
-    """The one compile step of every subcommand.  Returns the compiled
-    circuit and the one to run, which is peepholed unless --no-peephole."""
+def _compile(
+    formula: cnf.CnfFormula, args
+) -> tuple[circ.Circuit, circ.Circuit, circ.Circuit]:
+    """The one compile step of every subcommand.  Returns the forward
+    circuit `compile_auto` picked, the compiled circuit (with uncompute
+    blocks and an injected fault) and the one to run, which is the compiled
+    circuit peepholed unless --no-peephole."""
     try:
-        raw = circ.compile_auto(formula, args.width_cap)
+        forward = raw = circ.compile_auto(formula, args.width_cap)
         if args.uncompute and raw.layout.num_scratch:  # else nothing to clear
             raw = circ.append_uncompute(raw, formula)
     except circ.CompileError as exc:
         raise CliError(f"compile error: {exc}") from exc
     if getattr(args, "inject_fault", False):
         raw = circ.Circuit(raw.layout, raw.gates + (circ.Not(raw.layout.work_wire),))
-    return raw, raw if args.no_peephole else circ.peephole_cancel(raw)
+    return forward, raw, raw if args.no_peephole else circ.peephole_cancel(raw)
 
 
 def _simulate(circuit: circ.Circuit, args) -> sim.PopulationState:
@@ -106,7 +110,7 @@ def _simulate(circuit: circ.Circuit, args) -> sim.PopulationState:
 
 def _solve_pipeline(formula: cnf.CnfFormula, args) -> dict:
     start = time.perf_counter()
-    _, circuit = _compile(formula, args)
+    *_, circuit = _compile(formula, args)
     state = _simulate(circuit, args)
     report = sim.true_space(state, circuit.layout)
     solutions = list(report.bitstrings())
@@ -152,12 +156,12 @@ def cmd_solve(args) -> int:
 
 def cmd_compile(args) -> int:
     formula = _read_input(args)
-    raw, chosen = _compile(formula, args)
+    forward, raw, chosen = _compile(formula, args)
     # The census counts the circuit printed before peephole, uncompute
     # blocks included; the elementary projections stay the forward circuit's.
     raw_mcx, raw_nots = circ.circuit_census(raw)
     counts = dataclasses.replace(
-        circ.cost_model(formula), mcx_by_arity=raw_mcx, not_count=raw_nots
+        circ.gate_counts(forward), mcx_by_arity=raw_mcx, not_count=raw_nots
     )
     peepholed = circ.peephole_cancel(raw) if args.no_peephole else chosen
     _, opt_nots = circ.circuit_census(peepholed)
@@ -194,13 +198,17 @@ def cmd_spectrum(args) -> int:
     formula = _read_input(args)
     if args.trace:
         f_min, f_max, points = _parse_grid(args.grid)
+        try:
+            spec.check_render_settings(f_min, f_max, points, args.linewidth)
+        except ValueError as exc:
+            raise CliError(f"cannot render trace: {exc}") from exc
     n = formula.num_vars
     system = _spin_system(args.spin_system, n)
     _require_resolvable(system, n, args.min_separation)
     if args.thermal:
         lines = spec.thermal_reference(system, n)
     else:
-        _, circuit = _compile(formula, args)
+        *_, circuit = _compile(formula, args)
         state = _simulate(circuit, args)
         lines = spec.multiplet_lines(state, circuit.layout, system)
     if args.json:
@@ -220,10 +228,7 @@ def cmd_spectrum(args) -> int:
     else:
         print(spec.line_table(lines, system, n), end="")
     if args.trace:
-        try:
-            freqs, values = spec.render(lines, f_min, f_max, points, args.linewidth)
-        except ValueError as exc:
-            raise CliError(f"cannot render trace: {exc}") from exc
+        freqs, values = spec.render(lines, f_min, f_max, points, args.linewidth)
         _write_text(args.trace, spec.trace_csv(freqs, values))
     return 0
 

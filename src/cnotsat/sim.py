@@ -22,6 +22,9 @@ from .circuit import Circuit, Not, QubitLayout
 from .cnf import Assignment
 
 WIDTH_CAP = 24
+# The dense view holds one float64 per basis state, 8 x 2^width bytes: 128 MiB
+# at width 24, 1 GiB at width 27.  A wider view is refused before allocating.
+DENSE_VIEW_MAX_BYTES = 1 << 30
 
 
 class PipelineFormError(ValueError):
@@ -61,7 +64,14 @@ class PopulationState:
     @property
     def populations(self) -> np.ndarray:
         """Dense view of 2^width weights, built on each access.  Columns on
-        one basis state add up; 2^-n times a count is exact."""
+        one basis state add up; 2^-n times a count is exact.  Raises
+        ValueError when the view would exceed DENSE_VIEW_MAX_BYTES."""
+        needed = 8 << self.width
+        if needed > DENSE_VIEW_MAX_BYTES:
+            raise ValueError(
+                f"dense view of width {self.width} needs {needed} bytes, over "
+                f"the {DENSE_VIEW_MAX_BYTES}-byte bound"
+            )
         n = self.num_vars
         bits = np.unpackbits(self.planes, axis=1, count=1 << n, bitorder="little")
         index = np.zeros(1 << n, dtype=np.int64)

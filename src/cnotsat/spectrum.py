@@ -287,16 +287,60 @@ def _match(
     return order[np.minimum(lo, ordered.size - 1)], hi - lo
 
 
+# Lines per block of the certificate, so that one block of each input and
+# the 256 KB buffer stay in cache instead of streaming 2^n-line temporaries.
+_CERTIFY_BLOCK = 1 << 15
+
+
+def _certified(ordered: np.ndarray, line_freqs: np.ndarray, tolerance: float) -> bool:
+    """True when line i can only be configuration order[i], in O(2^n): there
+    is one line per position, abs(ordered[i] - x_i) <= tolerance, and both
+    neighbours ordered[i -/+ 1] miss x_i by more than tolerance.
+
+    fl(f - x) is monotone in f, so every position below a missed left
+    neighbour misses too, and likewise on the right: `_match` would give
+    hits == 1 and config == order[i] for every line.  A neighbour whose
+    difference is NaN does not count as missed, so such input is left to
+    `_match`.
+    """
+    if line_freqs.shape != ordered.shape:
+        return False
+    size = ordered.size
+    buffer = np.empty(min(size, _CERTIFY_BLOCK))
+    with np.errstate(invalid="ignore", over="ignore"):
+        for lo in range(0, size, _CERTIFY_BLOCK):
+            hi = min(lo + _CERTIFY_BLOCK, size)
+            gap = buffer[: hi - lo]
+            np.subtract(ordered[lo:hi], line_freqs[lo:hi], out=gap)
+            if not (np.abs(gap, out=gap) <= tolerance).all():
+                return False
+            # given the hit at i, a left neighbour misses iff it lies below
+            # x_i - tolerance, a right one iff it lies above x_i + tolerance
+            a = max(lo, 1)  # lines a..hi-1 have a left neighbour
+            gap = buffer[: hi - a]
+            np.subtract(ordered[a - 1 : hi - 1], line_freqs[a:hi], out=gap)
+            if not (gap < -tolerance).all():
+                return False
+            b = min(hi, size - 1)  # lines lo..b-1 have a right neighbour
+            gap = buffer[: b - lo]
+            np.subtract(ordered[lo + 1 : b + 1], line_freqs[lo:b], out=gap)
+            if not (gap > tolerance).all():
+                return False
+    return True
+
+
 def _merge(frequencies: np.ndarray, amplitudes: np.ndarray) -> Multiplet:
     """Merge lines given in stable argsort order of their frequencies: each
     run starts at a line and takes every following line within
     MERGE_TOL_HZ of that first line.  A run keeps its first frequency; its
     amplitudes are added in the given order."""
-    starts = np.ones(frequencies.size, dtype=bool)
     # Only a line within tolerance of its sorted neighbour can join a run;
     # a resolvable system has none.
     with np.errstate(invalid="ignore"):  # inf - inf is NaN: never a candidate
         candidates = np.flatnonzero(np.diff(frequencies) <= MERGE_TOL_HZ) + 1
+    if not candidates.size:
+        return Multiplet(frequencies, amplitudes)
+    starts = np.ones(frequencies.size, dtype=bool)
     head = 0
     for i in candidates.tolist():
         if starts[i - 1]:
@@ -325,9 +369,10 @@ def multiplet_lines(
     _check_variable_spins(system, n)
     if n >= state.width:  # the work wire and var wires 1..n
         raise ValueError("kept wire out of range")
-    amplitudes = np.where(work_mask(state, n), -(2.0**-n), 2.0**-n)
+    mask = work_mask(state, n)
     order, ordered, _ = _positions(system, n)
-    return _merge(ordered, amplitudes[order])
+    # gather the 1-byte mask, not 8-byte amplitudes, into table order
+    return _merge(ordered, np.where(mask[order], -(2.0**-n), 2.0**-n))
 
 
 def thermal_reference(system: SpinSystem, n: int) -> Multiplet:
@@ -340,14 +385,11 @@ def thermal_reference(system: SpinSystem, n: int) -> Multiplet:
     return _merge(ordered, np.full(1 << n, 2.0**-n)[order])
 
 
-def render(
-    lines: Multiplet | tuple[SpectrumLine, ...],
-    f_min: float,
-    f_max: float,
-    points: int,
-    linewidth: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Sum of absorptive Lorentzians (unit height at center) on a uniform grid."""
+def check_render_settings(
+    f_min: float, f_max: float, points: int, linewidth: float
+) -> None:
+    """Raise ValueError unless `render` can draw this grid and linewidth
+    within float range."""
     if f_min >= f_max:
         raise ValueError("need f_min < f_max")
     if points < 2:
@@ -366,6 +408,18 @@ def render(
         lw2 = math.inf
     if not 0 < lw2 < math.inf:
         raise ValueError("linewidth squared must be finite and nonzero")
+
+
+def render(
+    lines: Multiplet | tuple[SpectrumLine, ...],
+    f_min: float,
+    f_max: float,
+    points: int,
+    linewidth: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sum of absorptive Lorentzians (unit height at center) on a uniform grid."""
+    check_render_settings(f_min, f_max, points, linewidth)
+    lw2 = linewidth**2
     freqs = np.linspace(f_min, f_max, points)
     values = np.zeros_like(freqs)
     term = np.empty_like(freqs)
@@ -422,6 +476,11 @@ def extract_solutions(
             "coinciding configuration frequencies; multiplet not decodable"
         )
     line_freqs, amplitudes = _columns(lines)
+    if _certified(positions.ordered, line_freqs, tolerance):
+        # line i is configuration order[i]: no search, no repeat check
+        satisfying = np.zeros(1 << n, dtype=bool)
+        satisfying[positions.order] = amplitudes < 0
+        return SolutionReport(n, satisfying)
     configs, hits = _match(positions, line_freqs, tolerance)
     # Report the first faulty line in input order: no hit, several hits, or
     # a configuration that an earlier line already took.

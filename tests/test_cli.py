@@ -453,6 +453,40 @@ def test_non_finite_settings_are_named(argv, message, tmp_path, capsys):
     assert not (tmp_path / "t.csv").exists()
 
 
+@pytest.fixture
+def compile_calls(monkeypatch):
+    """Count the calls to circuit.compile_auto, from the CLI and the library."""
+    calls = [0]
+    inner = cli.circ.compile_auto
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(cli.circ, "compile_auto", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "setting", NON_FINITE_TRACE_SETTINGS.values(), ids=NON_FINITE_TRACE_SETTINGS
+)
+def test_trace_settings_fail_before_any_output(
+    setting, tmp_path, capsys, compile_calls
+):
+    argv = ["spectrum", "--dimacs", PAPER_1SAT, "--trace", str(tmp_path / "t.csv")]
+    assert main(argv + setting) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: cannot render trace: ")
+    assert compile_calls == [0]
+
+
+@pytest.mark.parametrize("extra", [[], ["--uncompute"], ["--json"], ["--no-peephole"]])
+def test_compile_compiles_once(extra, capsys, compile_calls):
+    assert main(["compile", "--dimacs", PAPER_3SAT] + extra) == 0
+    assert compile_calls == [1]
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -26,6 +26,7 @@ from cnotsat import (
     run,
     true_space,
 )
+from cnotsat import sim
 from cnotsat.circuit import as_permutation
 from cnotsat.sim import bitstring_labels, state_table
 from conftest import random_formula
@@ -38,6 +39,23 @@ from reference_sim import (
     reference_run,
     reference_true_space,
 )
+
+
+class TestDenseView:
+    @pytest.mark.parametrize("width", [39, 64])
+    def test_wide_view_refused_before_allocating(self, width):
+        # n = 0: one byte per plane, so only the view itself could be large
+        state = PopulationState(0, np.zeros((width, 1), dtype=np.uint8))
+        message = f"dense view of width {width} needs {8 << width} bytes"
+        with pytest.raises(ValueError, match=message):
+            state.populations
+
+    def test_bound_is_the_view_size(self, monkeypatch):
+        assert 8 << 24 <= sim.DENSE_VIEW_MAX_BYTES  # widths up to 24 are read
+        monkeypatch.setattr(sim, "DENSE_VIEW_MAX_BYTES", 8 << 3)
+        assert initial_mixed_state(QubitLayout(2, 0)).populations.size == 8
+        with pytest.raises(ValueError, match="width 4 needs 128 bytes"):
+            initial_mixed_state(QubitLayout(2, 1)).populations
 
 
 class TestInitialState:

@@ -1,4 +1,5 @@
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -48,6 +49,7 @@ from cnotsat.spectrum import (
     line_table,
     trace_csv,
 )
+import reference_decode
 from reference_sim import (
     SupportState,
     planes_of_columns,
@@ -878,3 +880,122 @@ class TestLineArrays:
             multiplet_lines(
                 initial_mixed_state(QubitLayout(0, 0)), QubitLayout(1, 0), alanine_3q()
             )
+
+
+# -- the certified decode against the matcher it runs in front of ------------
+
+
+def nudge(f, tol, offset):
+    """f moved by one of OFFSETS: -/+ tol, then -/+ one ulp."""
+    if offset == "exact":
+        return f
+    x = f + tol if offset.startswith("+") else f - tol
+    if offset.endswith("ulp"):
+        x = float(np.nextafter(x, np.inf if offset[4] == "+" else -np.inf))
+    return x
+
+
+def table_order_multiplet(system, n, tolerance, offsets, negative, edit=None):
+    """A Multiplet with line i near sorted position i, nudged by offsets[i];
+    an edit (kind, i, j) drops line i, duplicates line j before line i, or
+    replaces line i with a copy of line j."""
+    freqs = np.array([config_frequency(system, n, c) for c in range(1 << n)])
+    order = np.argsort(freqs, kind="stable")
+    tol = reference_tolerance(system, n) if tolerance is None else tolerance
+    lines = [
+        (nudge(float(freqs[c]), tol, offset), -(2.0**-n) if neg else 2.0**-n)
+        for c, offset, neg in zip(order.tolist(), offsets, negative)
+    ]
+    if edit:
+        kind, i, j = edit
+        copy = lines[j]
+        if kind == "drop":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, copy)
+        else:
+            lines[i] = copy
+    return Multiplet([f for f, _ in lines], [a for _, a in lines])
+
+
+@st.composite
+def table_order_cases(draw):
+    system, n = draw(spin_systems())
+    size = 1 << n
+    freqs = [config_frequency(system, n, c) for c in range(size)]
+    gaps = [abs(b - a) for a in freqs for b in freqs if b != a]
+    tolerance = draw(
+        st.one_of(
+            st.none(),
+            st.sampled_from(gaps).map(lambda g: g / 2) if gaps else st.none(),
+            st.floats(1e-6, 100.0),
+        )
+    )
+    # mostly exact, so that whole multiplets are often clean
+    offsets = draw(
+        st.lists(
+            st.sampled_from(OFFSETS) | st.just("exact"), min_size=size, max_size=size
+        )
+    )
+    negative = draw(st.lists(st.booleans(), min_size=size, max_size=size))
+    kind = draw(st.sampled_from(["none", "drop", "duplicate", "replace"]))
+    edit = None
+    if kind != "none":
+        index = st.integers(0, size - 1)
+        edit = (kind, draw(index), draw(index))
+    lines = table_order_multiplet(system, n, tolerance, offsets, negative, edit)
+    return system, n, lines, tolerance
+
+
+def midpoint_case(side):
+    """Two-variable system, tolerance half the gap: the nudged line sits on
+    the midpoint to its left or right neighbour, so it matches two."""
+    system, n = spin_system((20.0, 45.0))
+    offsets = ["exact"] * 4
+    offsets[1] = "-tol" if side == "left" else "+tol"
+    lines = table_order_multiplet(system, n, 12.5, offsets, [False, True] * 2)
+    return system, n, lines, 12.5
+
+
+class TestCertifiedDecode:
+    # Small blocks put block edges between the lines of these small systems.
+    @settings(max_examples=400, deadline=None)
+    @given(table_order_cases(), st.sampled_from([1, 2, 3, spectrum._CERTIFY_BLOCK]))
+    @example(midpoint_case("left"), spectrum._CERTIFY_BLOCK)
+    @example(midpoint_case("right"), spectrum._CERTIFY_BLOCK)
+    def test_reports_and_errors_equal_the_matcher(self, case, block):
+        system, n, lines, tolerance = case
+        with mock.patch.object(spectrum, "_CERTIFY_BLOCK", block):
+            got = outcome(extract_solutions, lines, system, n, tolerance=tolerance)
+        expected = outcome(
+            reference_decode.extract_solutions, lines, system, n, tolerance=tolerance
+        )
+        assert got == expected
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_line_between_two_positions_is_degenerate(self, side):
+        system, n, lines, tolerance = midpoint_case(side)
+        with pytest.raises(DegenerateMultipletError, match="matches 2 configurations"):
+            extract_solutions(lines, system, n, tolerance=tolerance)
+
+    @pytest.mark.parametrize("kind", ["drop", "duplicate"])
+    def test_line_count_is_checked(self, kind):
+        system, n = spin_system((20.0, 45.0))
+        edit = (kind, 3, 3)
+        lines = table_order_multiplet(system, n, None, ["exact"] * 4, [True] * 4, edit)
+        expected = outcome(reference_decode.extract_solutions, lines, system, n)
+        assert expected[0] == "error"
+        assert outcome(extract_solutions, lines, system, n) == expected
+
+    def test_clean_solve_never_reaches_the_matcher(self, monkeypatch, capsys):
+        def unreachable(*args):
+            raise AssertionError("a clean multiplet fell through to _match")
+
+        monkeypatch.setattr(spectrum, "_match", unreachable)
+        formula = generate_random_ksat(16, 68, 3, seed=1)
+        argv = ["solve", "--dimacs", to_dimacs(formula), "--via-spectrum", "--json"]
+        argv += ["--spin-system", "synthetic", "--width-cap", "100"]
+        assert cli.main(argv) == 0
+        summary = json.loads(capsys.readouterr().out)
+        oracle = [a.bitstring() for a in brute_force_solutions(formula)]
+        assert summary["spectral_solutions"] == summary["solutions"] == oracle

@@ -37,7 +37,8 @@ class Mcx:
     target: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "controls", frozenset(self.controls))
+        if type(self.controls) is not frozenset:  # immutable, so kept without a copy
+            object.__setattr__(self, "controls", frozenset(self.controls))
         if not self.controls:
             raise ValueError("Mcx needs at least one control")
         if self.target in self.controls:
@@ -93,6 +94,9 @@ class QubitLayout:
 
 @dataclass(frozen=True)
 class Circuit:
+    """Gates applied in order to the wires of layout; the constructor checks
+    every gate against the layout's width."""
+
     layout: QubitLayout
     gates: tuple[Gate, ...]
 
@@ -103,6 +107,16 @@ class Circuit:
                 isinstance(gate, Mcx) and max(gate.controls) >= width
             ):
                 raise ValueError(f"gate {gate} exceeds width {width}")
+
+
+def _built(layout: QubitLayout, gates: tuple[Gate, ...]) -> Circuit:
+    """A Circuit without the width check, for builders whose gates are in
+    range by construction: compile_formula lays out its steps on a layout it
+    has just checked, and peephole_cancel and append_uncompute only drop,
+    reorder or repeat the gates of a circuit of the same layout."""
+    circuit = object.__new__(Circuit)
+    circuit.__dict__.update(layout=layout, gates=gates)
+    return circuit
 
 
 # A compile first lays out its circuit as plain steps, a wire for each Not and
@@ -208,7 +222,7 @@ def compile_formula(formula: CnfFormula, width_cap: int = 24) -> Circuit:
     """
     layout = _general_layout(formula, width_cap)
     plan, _ = _formula_plan(formula, layout)
-    return Circuit(layout, tuple(_gates(plan)))
+    return _built(layout, tuple(_gates(plan)))
 
 
 def compile_1sat(formula: CnfFormula) -> Circuit:
@@ -273,7 +287,7 @@ def peephole_cancel(circuit: Circuit) -> Circuit:
                 pending.pop(control, None)
             out.append(gate)
     # from a list, so the tuple is allocated at its final size (see cli.main)
-    return Circuit(circuit.layout, tuple([gate for gate in out if gate is not None]))
+    return _built(circuit.layout, tuple([gate for gate in out if gate is not None]))
 
 
 def append_uncompute(circuit: Circuit, formula: CnfFormula) -> Circuit:
@@ -296,7 +310,7 @@ def append_uncompute(circuit: Circuit, formula: CnfFormula) -> Circuit:
         raise CompileError("circuit was not produced by compile_formula(formula)")
     blocks = list(zip(starts, starts[1:]))
     tail = [gate for start, end in reversed(blocks) for gate in gates[start:end]]
-    return Circuit(circuit.layout, gates + tuple(tail))
+    return _built(circuit.layout, gates + tuple(tail))
 
 
 def compile_auto(formula: CnfFormula, width_cap: int = 24) -> Circuit:
@@ -477,25 +491,33 @@ def gate_counts(circuit: Circuit) -> GateCounts:
 
 
 def circuit_to_text(circuit: Circuit) -> str:
-    """Line format: `qbc <width> <n> <m_scratch>`, then `x <t>` / `mcx c1,c2 <t>`."""
-    lines = [
-        f"qbc {circuit.layout.width} {circuit.layout.num_vars} "
-        f"{circuit.layout.num_scratch}"
-    ]
+    """Line format: `qbc <width> <n> <m_scratch>`, then `x <t>` / `mcx c1,c2 <t>`,
+    controls in increasing order."""
+    layout = circuit.layout
+    lines = [f"qbc {layout.width} {layout.num_vars} {layout.num_scratch}"]
+    # A compile shares gate objects (one Not per wire, each clause block twice
+    # after uncompute), so each distinct object is formatted once per call.
+    formatted: dict[int, str] = {}
     for gate in circuit.gates:
-        if isinstance(gate, Not):
-            lines.append(f"x {gate.target}")
-        else:
-            lines.append(f"mcx {','.join(str(c) for c in sorted(gate.controls))} {gate.target}")
-    return "\n".join(lines) + "\n"
+        line = formatted.get(id(gate))
+        if line is None:
+            if isinstance(gate, Not):
+                line = f"x {gate.target}"
+            else:
+                line = f"mcx {','.join(map(str, sorted(gate.controls)))} {gate.target}"
+            formatted[id(gate)] = line
+        lines.append(line)
+    lines.append("")
+    return "\n".join(lines)
 
 
 def circuit_from_text(text: str) -> Circuit:
-    lines = [l.strip() for l in text.splitlines() if l.strip() and not l.startswith("#")]
+    stripped = (line.strip() for line in text.splitlines())
+    lines = [line for line in stripped if line and not line.startswith("#")]
     if not lines or not lines[0].startswith("qbc"):
         raise ValueError("missing qbc header")
     parts = lines[0].split()
-    if len(parts) != 4:
+    if len(parts) != 4 or parts[0] != "qbc":
         raise ValueError(f"bad qbc header: {lines[0]!r}")
     width, num_vars, num_scratch = int(parts[1]), int(parts[2]), int(parts[3])
     layout = QubitLayout(num_vars, num_scratch)

@@ -173,6 +173,10 @@ def cmd_compile(args) -> int:
             json.dumps(
                 {
                     "circuit": circ.circuit_to_dict(chosen),
+                    "formula": {
+                        "clauses": formula.num_clauses,
+                        "literals": formula.num_literals,
+                    },
                     "counts": {
                         "mcx_by_arity": counts.mcx_by_arity,
                         "not_count": counts.not_count,

@@ -81,6 +81,11 @@ class CnfFormula:
     def num_clauses(self) -> int:
         return len(self.clauses)
 
+    @property
+    def num_literals(self) -> int:
+        """Literals over all clauses, as held (parse_dimacs drops repeats)."""
+        return sum(len(clause.literals) for clause in self.clauses)
+
 
 @dataclass(frozen=True)
 class Assignment:

@@ -150,24 +150,28 @@ def _variable_rows(num_vars: int) -> np.ndarray:
     return rows
 
 
-def initial_mixed_state(
-    layout: QubitLayout, width_cap: int = WIDTH_CAP
-) -> PopulationState:
-    """Uniform mixture over all variable assignments; work and scratch bits 0."""
+def _initial_planes(layout: QubitLayout, width_cap: int) -> np.ndarray:
+    """Writable planes of the initial mixture, for run to permute in place."""
     width = layout.width
     if width > width_cap:
         raise ValueError(f"width {width} exceeds cap {width_cap}")
     n = layout.num_vars
     planes = np.zeros((width, _row_bytes(n)), dtype=np.uint8)
     planes[1 : n + 1] = _variable_rows(n)
-    return PopulationState(n, planes)
+    return planes
+
+
+def initial_mixed_state(
+    layout: QubitLayout, width_cap: int = WIDTH_CAP
+) -> PopulationState:
+    """Uniform mixture over all variable assignments; work and scratch bits 0."""
+    return PopulationState(layout.num_vars, _initial_planes(layout, width_cap))
 
 
 def run(circuit: Circuit, width_cap: int = WIDTH_CAP) -> PopulationState:
-    state = initial_mixed_state(circuit.layout, width_cap)
-    planes = state.planes.copy()
+    planes = _initial_planes(circuit.layout, width_cap)
     scratch = np.empty(planes.shape[1], dtype=np.uint8)
-    for gate in circuit.gates:  # Circuit has checked every wire against its width
+    for gate in circuit.gates:  # every wire of a Circuit is within its width
         target = planes[gate.target]
         if isinstance(gate, Not):
             np.invert(target, out=target)
@@ -179,7 +183,7 @@ def run(circuit: Circuit, width_cap: int = WIDTH_CAP) -> PopulationState:
             for wire in rest[1:]:
                 np.bitwise_and(control, planes[wire], out=control)
         np.bitwise_xor(target, control, out=target)
-    return PopulationState(state.num_vars, planes)
+    return PopulationState(circuit.layout.num_vars, planes)
 
 
 def work_mask(state: PopulationState, num_vars: int) -> np.ndarray:

@@ -5,9 +5,11 @@ The parser converts and range-checks one token at a time, builds a Literal
 per token and dedupes each clause through `Clause.deduplicated`.  The
 compiler dedupes each clause the same way, tests `Clause.is_tautology`,
 maps every variable through `QubitLayout.var_wire`, builds a fresh gate per
-step, and `append_uncompute` compiles the formula a second time to check
-its input.  The tests compare `cnotsat.cnf` and `cnotsat.circuit` against
-them gate for gate and message for message.
+step and every circuit through the checking `Circuit(...)`, and
+`append_uncompute` compiles the formula a second time to check its input.
+`circuit_to_text` formats every gate line from scratch.  The tests compare
+`cnotsat.cnf` and `cnotsat.circuit` against them gate for gate, byte for
+byte and message for message.
 """
 
 from __future__ import annotations
@@ -166,3 +168,16 @@ def append_uncompute(circuit: Circuit, formula: CnfFormula) -> Circuit:
         raise CompileError("circuit was not produced by compile_formula(formula)")
     tail = tuple(gate for block in reversed(blocks) for gate in block)
     return Circuit(circuit.layout, circuit.gates + tail)
+
+
+def circuit_to_text(circuit: Circuit) -> str:
+    lines = [
+        f"qbc {circuit.layout.width} {circuit.layout.num_vars} "
+        f"{circuit.layout.num_scratch}"
+    ]
+    for gate in circuit.gates:
+        if isinstance(gate, Not):
+            lines.append(f"x {gate.target}")
+        else:
+            lines.append(f"mcx {','.join(str(c) for c in sorted(gate.controls))} {gate.target}")
+    return "\n".join(lines) + "\n"

@@ -27,6 +27,7 @@ from cnotsat import (
     generate_random_ksat,
     parse_dimacs,
     peephole_cancel,
+    to_dimacs,
 )
 from cnotsat.circuit import circuit_census, circuit_to_dict
 from conftest import random_formula
@@ -105,6 +106,33 @@ def formula_outputs(circuit, formula):
     perm = as_permutation(circuit)
     n = formula.num_vars
     return [(a, perm(a << 1)) for a in range(1 << n)]
+
+
+class TestGates:
+    @pytest.mark.parametrize("kind", [list, set, frozenset])
+    def test_mcx_checks_and_freezes_its_controls(self, kind):
+        gate = Mcx(kind([3, 1]), 0)
+        assert type(gate.controls) is frozenset
+        assert gate == Mcx(frozenset({1, 3}), 0) and hash(gate) == hash(Mcx(frozenset({1, 3}), 0))
+        for controls, target, message in [
+            ([], 0, "at least one control"),
+            ([1, 2], 2, "target cannot be a control"),
+            ([-1, 2], 0, "negative wire index"),
+            ([1], -1, "negative wire index"),
+        ]:
+            with pytest.raises(ValueError, match=message):
+                Mcx(kind(controls), target)
+
+    def test_mcx_keeps_a_frozenset_as_given(self):
+        controls = frozenset({1, 3})
+        assert Mcx(controls, 0).controls is controls
+
+    @pytest.mark.parametrize(
+        "gate", [Not(4), Mcx(frozenset({1, 4}), 0), Mcx(frozenset({1}), 4)]
+    )
+    def test_circuit_rejects_a_gate_past_its_width(self, gate):
+        with pytest.raises(ValueError, match="exceeds width 4"):
+            Circuit(QubitLayout(2, 1), (Not(3), gate))
 
 
 class TestCompileClause:
@@ -457,6 +485,40 @@ class TestPermutation:
             as_permutation(circuit)
 
 
+QBC_HEADERS = st.builds(
+    "{}{} {} {} {}".format,
+    st.sampled_from(["", "  ", "\t"]),
+    st.sampled_from(["qbc", "qbcx", "QBC", "qbc,"]),
+    st.sampled_from(["0", "1", "2", "3", "6", "-1", "x"]),
+    st.sampled_from(["0", "1", "2", "5", "-1"]),
+    st.sampled_from(["0", "1", "3", "y"]),
+)
+SKIPPED_LINES = st.sampled_from(["", "   ", "# note", "  # note", "\t#"])
+ODD_LINES = st.one_of(
+    SKIPPED_LINES,
+    st.sampled_from(["qbc", "qbc 2 1 0", "x", "mcx", "cx 1 0", "mcx 1", "x 1 2"]),
+)
+
+
+@st.composite
+def qbc_texts(draw) -> str:
+    """Mostly a consistent header after skipped lines, then gate lines on
+    wires near its width; the header and any gate line may be malformed."""
+    n, num_scratch = draw(st.integers(0, 3)), draw(st.integers(0, 2))
+    width = n + 1 + num_scratch
+    consistent = st.just(f"qbc {width} {n} {num_scratch}")
+    header = draw(st.one_of(consistent, consistent, QBC_HEADERS))
+    in_range = st.integers(0, width - 1).map(str)
+    wire = st.one_of(in_range, in_range, st.sampled_from(["-1", str(width), "", "x", "10", " "]))
+    gate = st.one_of(
+        st.builds("x {}".format, wire),
+        st.builds("mcx {} {}".format, st.lists(wire, min_size=1, max_size=3).map(",".join), wire),
+        ODD_LINES,
+    )
+    lines = draw(st.lists(SKIPPED_LINES, max_size=2)) + [header] + draw(st.lists(gate, max_size=5))
+    return draw(st.sampled_from(["\n", "\r\n", " \n"])).join(lines)
+
+
 class TestInterchange:
     def test_text_round_trip(self, paper_3sat):
         circuit = compile_formula(paper_3sat)
@@ -480,6 +542,33 @@ class TestInterchange:
     def test_bad_header(self):
         with pytest.raises(ValueError):
             circuit_from_text("x 0\n")
+
+    @pytest.mark.parametrize("header", ["qbcx 2 1 0", "qbc2 1 0 0", "qbc 2 1", "qbc 2 1 0 0"])
+    def test_header_token_is_exactly_qbc(self, header):
+        with pytest.raises(ValueError, match="bad qbc header"):
+            circuit_from_text(header + "\nx 1\n")
+
+    def test_indented_comments_are_skipped(self):
+        text = "  # a note\nqbc 2 1 0\n\t# another\nx 1\n   #\nmcx 1 0\n"
+        assert circuit_from_text(text) == Circuit(
+            QubitLayout(1, 0), (Not(1), Mcx(frozenset({1}), 0))
+        )
+
+    @pytest.mark.parametrize("line", ["x 2", "mcx 1,2 0", "mcx 1 2"])
+    def test_rejects_a_gate_past_the_width(self, line):
+        with pytest.raises(ValueError, match="exceeds width 2"):
+            circuit_from_text(f"qbc 2 1 0\n{line}\n")
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.text(max_size=40), qbc_texts()))
+    @example("qbc 12 10 1\nmcx 10,2,9 0\n")
+    def test_any_text_raises_value_error_or_round_trips(self, text):
+        try:
+            circuit = circuit_from_text(text)
+        except ValueError:
+            return
+        assert Circuit(circuit.layout, circuit.gates) == circuit
+        assert circuit_from_text(circuit_to_text(circuit)) == circuit
 
 
 class TestCompileAuto:
@@ -511,3 +600,57 @@ class TestCompileAuto:
         for a in range(1 << n):
             assert general(a << 1) & 1 == direct(a << 1) & 1
             assert direct(a << 1) >> 1 == a
+
+
+@st.composite
+def sized_formulas(draw) -> CnfFormula:
+    """Formulas as parse_dimacs returns them (repeated literals dropped),
+    n <= 8, m <= 6, k <= 4, with empty clauses, units and all-positive cases."""
+    n, m = draw(st.integers(1, 8)), draw(st.integers(0, 6))
+    raw = random_formula(random.Random(draw(st.integers(0, 2**32 - 1))), n=n, m=m, max_k=4)
+    clauses = list(raw.clauses)
+    if draw(st.booleans()):
+        clauses = [Clause(tuple(Literal(l.var) for l in c.literals)) for c in clauses]
+    if m and draw(st.integers(0, 9)) == 0:
+        clauses[draw(st.integers(0, m - 1))] = Clause(())
+    return parse_dimacs(to_dimacs(CnfFormula(n, tuple(clauses))))
+
+
+class TestSizeBound:
+    """The paper's size claim as a bound.  With L literals and m clauses a
+    clause block has at most 2k + 2 gates (k NOTs each side of its MCX, a NOT
+    on the scratch wire) and the final AND one, so every forward path has at
+    most 2L + 2m + 1 gates, tight when every clause is all-positive; the
+    uncompute tail repeats the blocks, at most 2L + 2m more."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(sized_formulas())
+    @example(parse_dimacs("p cnf 3 2\n1 2 0\n2 3 0\n"))  # 13 gates: 2L + m + 1 is 11
+    def test_every_path_within_the_bound(self, formula):
+        big_l, m = formula.num_literals, formula.num_clauses
+        forward_bound = 2 * big_l + 2 * m + 1
+        uncapped = QubitLayout(formula.num_vars, m).width
+        paths = [
+            lambda: compile_auto(formula, uncapped),
+            lambda: compile_1sat(formula),
+            lambda: compile_formula(formula, uncapped),
+        ]
+        if m == 1:
+            paths.append(lambda: compile_single_clause(formula.clauses[0], formula.num_vars))
+        for path in paths:
+            try:
+                forward = path()
+            except CompileError:
+                continue
+            assert len(forward.gates) <= forward_bound
+            assert len(peephole_cancel(forward).gates) <= len(forward.gates)
+        try:
+            forward = compile_formula(formula, uncapped)
+        except CompileError:
+            return
+        uncomputed = append_uncompute(forward, formula)
+        assert len(uncomputed.gates) <= 4 * big_l + 4 * m + 1
+        assert len(peephole_cancel(uncomputed).gates) <= len(uncomputed.gates)
+        if not any(l.negated for c in formula.clauses for l in c.literals):
+            assert len(forward.gates) == forward_bound
+            assert len(uncomputed.gates) == 4 * big_l + 4 * m + 1

@@ -143,7 +143,11 @@ class TestCompile:
         forward = cost_model(parse_dimacs(text))
         assert f"elementary C-NOT: {forward.elementary_cnot}\n" in out
         assert main(argv + ["--json"]) == 0
-        counts = json.loads(capsys.readouterr().out)["counts"]
+        doc = json.loads(capsys.readouterr().out)
+        clause_lines = text.splitlines()[1:]  # no repeated literals
+        literals = sum(len(line.split()) - 1 for line in clause_lines)
+        assert doc["formula"] == {"clauses": len(clause_lines), "literals": literals}
+        counts = doc["counts"]
         assert counts["mcx_by_arity"] == {str(k): v for k, v in mcx.items()}
         assert counts["not_count"] == counts["not_count_before_peephole"] == nots
         assert counts["elementary_single"] == forward.elementary_single

@@ -1,6 +1,7 @@
-"""Differential tests of the front end: `parse_dimacs`, the compile paths and
-`append_uncompute` against the literal-by-literal references in
-`reference_front_end`, gate for gate and message for message."""
+"""Differential tests of the front end: `parse_dimacs`, the compile paths,
+`append_uncompute` and `circuit_to_text` against the literal-by-literal
+references in `reference_front_end`, gate for gate, byte for byte and
+message for message."""
 
 import random
 
@@ -15,6 +16,7 @@ from cnotsat import (
     Not,
     QubitLayout,
     append_uncompute,
+    circuit_from_text,
     circuit_to_text,
     compile_1sat,
     compile_clause,
@@ -163,7 +165,7 @@ def reference_pipeline(formula: CnfFormula) -> tuple[Circuit, str]:
     width = QubitLayout(formula.num_vars, formula.num_clauses).width
     circuit = ref.append_uncompute(ref.compile_formula(formula, width), formula)
     circuit = peephole_cancel(circuit)
-    return circuit, circuit_to_text(circuit)
+    return circuit, ref.circuit_to_text(circuit)
 
 
 @settings(max_examples=40, deadline=None)
@@ -173,8 +175,48 @@ def test_uncomputed_pipeline_matches_reference(formula):
     width = QubitLayout(formula.num_vars, formula.num_clauses).width
     forward = compile_formula(formula, width)
     assert forward == ref.compile_formula(formula, width)
-    circuit = peephole_cancel(append_uncompute(forward, formula))
+    uncomputed = append_uncompute(forward, formula)
+    circuit = peephole_cancel(uncomputed)
     assert (circuit, circuit_to_text(circuit)) == reference_pipeline(formula)
+    # the builders that skip Circuit's width check return circuits it accepts
+    for built in (forward, uncomputed, circuit, peephole_cancel(forward)):
+        assert Circuit(built.layout, built.gates) == built
+
+
+# -- circuit text ------------------------------------------------------------
+
+
+@st.composite
+def gates_on(draw, width: int):
+    target = draw(st.integers(0, width - 1))
+    others = [wire for wire in range(width) if wire != target]
+    if not others or draw(st.booleans()):
+        return Not(target)
+    controls = draw(st.sets(st.sampled_from(others), min_size=1, max_size=5))
+    return Mcx(frozenset(controls), target)
+
+
+@st.composite
+def shared_gate_circuits(draw) -> Circuit:
+    """Circuits up to width 14, so controls of 10 and more occur, mixing
+    gates repeated as one object with fresh, possibly equal, gates."""
+    n, num_scratch = draw(st.integers(0, 9)), draw(st.integers(0, 4))
+    width = n + 1 + num_scratch
+    pool = draw(st.lists(gates_on(width), min_size=1, max_size=6))
+    gates = draw(st.lists(st.one_of(st.sampled_from(pool), gates_on(width)), max_size=24))
+    return Circuit(QubitLayout(n, num_scratch), tuple(gates))
+
+
+wide_mcx = Mcx(frozenset({2, 10, 9}), 0)  # "2,9,10" in numeric order, "10,2,9" as strings
+
+
+@settings(max_examples=200, deadline=None)
+@given(shared_gate_circuits())
+@example(Circuit(QubitLayout(10, 1), (wide_mcx, Not(11), wide_mcx, Mcx(frozenset({2, 9, 10}), 0))))
+def test_circuit_text_matches_reference_and_reads_back(circuit):
+    text = circuit_to_text(circuit)
+    assert text == ref.circuit_to_text(circuit)
+    assert circuit_from_text(text) == circuit
 
 
 @st.composite

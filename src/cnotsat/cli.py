@@ -261,6 +261,8 @@ def cmd_verify(args) -> int:
         name = "--dimacs" if args.dimacs is not None else args.input
         instances.append((name, _read_input(args)))
     else:
+        if args.corpus < 1:
+            raise CliError(f"--corpus must be at least 1, not {args.corpus}")
         rng_seed = args.seed
         for i in range(args.corpus):
             n = 2 + (i % 3)  # n in 2..4

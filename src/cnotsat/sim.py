@@ -80,6 +80,21 @@ class PopulationState:
         return np.bincount(index, minlength=1 << self.width) * 2.0**-n
 
 
+def _read_only(values, dtype) -> np.ndarray:
+    """values as a read-only array of dtype.  An ndarray of that dtype that
+    nothing can write to, read-only and either owning its data or viewing a
+    read-only array that does, is kept as it is; anything else is copied."""
+    if type(values) is np.ndarray and values.dtype == dtype:
+        array = values
+        while type(array) is np.ndarray and not array.flags.writeable:
+            if array.base is None:
+                return values
+            array = array.base
+    array = np.array(values, dtype=dtype)
+    array.flags.writeable = False
+    return array
+
+
 def bitstring_labels(configs: np.ndarray, num_vars: int) -> list[str]:
     """x_n..x_1 display strings of configuration indices, formatted in bulk;
     entry k equals Assignment.from_index(configs[k], num_vars).bitstring()."""
@@ -95,19 +110,19 @@ def bitstring_labels(configs: np.ndarray, num_vars: int) -> list[str]:
 @dataclass(frozen=True, eq=False)
 class SolutionReport:
     """Assignments split by the work bit: satisfying[c] is True when
-    configuration c (bit i-1 holds x_i) ends with x0=1.  The mask is a
-    read-only copy; Assignment tuples are built only when read."""
+    configuration c (bit i-1 holds x_i) ends with x0=1.  The mask is
+    read-only: a boolean array nothing can write to is kept as given,
+    anything else is copied.  Assignment tuples are built only when read."""
 
     num_vars: int
     satisfying: np.ndarray
 
     def __post_init__(self) -> None:
-        mask = np.array(self.satisfying, dtype=bool)
+        mask = _read_only(self.satisfying, bool)
         if mask.shape != (1 << self.num_vars,):
             raise ValueError(
                 f"mask of shape {mask.shape} for {self.num_vars} variables"
             )
-        mask.flags.writeable = False
         object.__setattr__(self, "satisfying", mask)
 
     def __eq__(self, other: object) -> bool:
@@ -202,7 +217,9 @@ def work_mask(state: PopulationState, num_vars: int) -> np.ndarray:
         raise PipelineFormError(
             f"circuit does not restore variable x{changed[0] + 1}"
         )
-    return np.unpackbits(state.planes[0], count=1 << n, bitorder="little").view(bool)
+    bits = np.unpackbits(state.planes[0], count=1 << n, bitorder="little")
+    bits.flags.writeable = False
+    return bits.view(bool)
 
 
 def true_space(state: PopulationState, layout: QubitLayout) -> SolutionReport:

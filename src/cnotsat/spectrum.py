@@ -9,16 +9,16 @@ space, negative lines the TRUE space.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
 from .circuit import QubitLayout
 from .sim import PopulationState, SolutionReport, bitstring_labels, work_mask
+from .sim import _read_only
 
 MERGE_TOL_HZ = 1e-9
 
@@ -38,7 +38,8 @@ class SpinSystem:
     qubit_spins[i-1] is the spin carrying variable qubit i; scratch_spins,
     when present, carry scratch qubits and must be decoupled.  Couplings are
     a symmetric Hz matrix; only couplings to the observed spin shape its
-    multiplet.
+    multiplet.  It keeps its sorted line-position table for each n it is
+    read at (`_positions`); the tables take no part in equality or repr.
     """
 
     names: tuple[str, ...]
@@ -48,6 +49,7 @@ class SpinSystem:
     qubit_spins: tuple[int, ...]
     decoupled: frozenset[int] = frozenset()
     scratch_spins: tuple[int, ...] = ()
+    _tables: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         size = len(self.names)
@@ -98,18 +100,17 @@ class SpectrumLine:
 
 @dataclass(frozen=True, eq=False)
 class Multiplet:
-    """Resonance lines as two read-only float64 arrays, sorted by frequency
-    with coinciding lines merged.  Reads as a sequence of SpectrumLine: an
-    index gives one line, a slice a Multiplet."""
+    """Resonance lines as two read-only float64 arrays (kept as given when
+    nothing can write to them, else copied); synthesized ones are sorted by
+    frequency with coinciding lines merged.  Reads as a sequence of
+    SpectrumLine: an index gives one line, a slice a Multiplet."""
 
     frequencies: np.ndarray
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
         for name in ("frequencies", "amplitudes"):
-            column = np.array(getattr(self, name), dtype=float)
-            column.flags.writeable = False
-            object.__setattr__(self, name, column)
+            object.__setattr__(self, name, _read_only(getattr(self, name), float))
         shape = self.frequencies.shape
         if len(shape) != 1 or shape != self.amplitudes.shape:
             raise ValueError("frequencies and amplitudes differ in shape")
@@ -134,17 +135,6 @@ class Multiplet:
         )
 
 
-def _columns(lines) -> tuple[np.ndarray, np.ndarray]:
-    """(frequencies, amplitudes) of a Multiplet as they are, or of any other
-    sequence of SpectrumLine in its own order."""
-    if isinstance(lines, Multiplet):
-        return lines.frequencies, lines.amplitudes
-    return (
-        np.array([line.frequency for line in lines], dtype=float),
-        np.array([line.amplitude for line in lines], dtype=float),
-    )
-
-
 def _check_variable_spins(system: SpinSystem, n: int) -> None:
     if n > system.capacity:
         raise SpinSystemError(
@@ -159,17 +149,6 @@ def _check_variable_spins(system: SpinSystem, n: int) -> None:
                 f"variable spin {system.names[spin]} has no coupling to the "
                 f"observed spin"
             )
-
-
-def _spin_terms(system: SpinSystem, n: int) -> np.ndarray:
-    """The observed spin's shift, then its coupling to each of x_1..x_n."""
-    if n < 0:
-        raise ValueError("negative shift count")  # what 1 << n raises
-    return np.array(
-        [system.shifts[system.observed]]
-        + [system.j_to_observed(system.qubit_spins[i]) for i in range(n)],
-        dtype=float,
-    )
 
 
 def _doubling(terms: np.ndarray) -> np.ndarray:
@@ -195,39 +174,34 @@ def config_frequencies(system: SpinSystem, n: int) -> np.ndarray:
     by +J/2, spin-down (1) by -J/2.  Entry c is the observed spin's shift
     plus the terms for x_1..x_n, added in that order.
     """
-    return _doubling(_spin_terms(system, n))
+    if n < 0:
+        raise ValueError("negative shift count")  # what 1 << n raises
+    return _doubling(
+        np.array(
+            [system.shifts[system.observed]]
+            + [system.j_to_observed(system.qubit_spins[i]) for i in range(n)],
+            dtype=float,
+        )
+    )
 
 
 class _Positions(NamedTuple):
-    """Read-only line positions of one spin system, sorted once: the stable
-    argsort `order`, the positions in that order, and the smallest gap
-    between neighbours (inf for a single line; NaN next to a NaN or between
-    equal infinities)."""
+    """Read-only line positions of one spin system at one n, sorted once
+    and kept in the system: the stable argsort `order`, the positions in
+    that order, and the smallest gap between neighbours (inf for a single
+    line; NaN next to a NaN or between equal infinities)."""
 
     order: np.ndarray
     ordered: np.ndarray
     min_gap: float
 
 
-# Only tables of up to 4 MB (n <= 18) are cached, so the cache holds at most
-# 32 MB; a larger table, bigger than the bit-plane state it serves, is built
-# for each call and dropped after it.
-_CACHE_MAX_BYTES = 1 << 22
-
-
 def _positions(system: SpinSystem, n: int) -> _Positions:
-    # Keyed on the float bits, not the system: systems that compare equal
-    # can differ in bits (shifts 0.0 and -0.0 at n=0), and equal systems
-    # built anew share an entry.
-    key = _spin_terms(system, n).tobytes()
-    if 16 << n > _CACHE_MAX_BYTES:  # 16 B per configuration
-        return _sorted_positions.__wrapped__(key)
-    return _sorted_positions(key)
-
-
-@functools.lru_cache(maxsize=8)
-def _sorted_positions(key: bytes) -> _Positions:
-    freqs = _doubling(np.frombuffer(key))
+    """The system's table at n, built on first use and stored with it."""
+    table = system._tables.get(n)
+    if table is not None:
+        return table
+    freqs = config_frequencies(system, n)
     order = np.argsort(freqs, kind="stable")
     ordered = freqs[order]
     with np.errstate(invalid="ignore"):  # inf - inf is NaN
@@ -235,7 +209,8 @@ def _sorted_positions(key: bytes) -> _Positions:
     min_gap = float(gaps.min()) if gaps.size else math.inf
     order.flags.writeable = False
     ordered.flags.writeable = False
-    return _Positions(order, ordered, min_gap)
+    table = system._tables[n] = _Positions(order, ordered, min_gap)
+    return table
 
 
 def _default_tolerance(positions: _Positions) -> float:
@@ -329,17 +304,21 @@ def _certified(ordered: np.ndarray, line_freqs: np.ndarray, tolerance: float) ->
     return True
 
 
-def _merge(frequencies: np.ndarray, amplitudes: np.ndarray) -> Multiplet:
+def _merge(
+    frequencies: np.ndarray, amplitudes: np.ndarray, min_gap: float
+) -> Multiplet:
     """Merge lines given in stable argsort order of their frequencies: each
     run starts at a line and takes every following line within
     MERGE_TOL_HZ of that first line.  A run keeps its first frequency; its
-    amplitudes are added in the given order."""
+    amplitudes, a fresh array, are added in the given order.  min_gap is
+    the smallest gap between neighbouring frequencies (NaN next to a NaN)."""
+    amplitudes.flags.writeable = False
     # Only a line within tolerance of its sorted neighbour can join a run;
     # a resolvable system has none.
+    if min_gap > MERGE_TOL_HZ:  # False for NaN
+        return Multiplet(frequencies, amplitudes)
     with np.errstate(invalid="ignore"):  # inf - inf is NaN: never a candidate
         candidates = np.flatnonzero(np.diff(frequencies) <= MERGE_TOL_HZ) + 1
-    if not candidates.size:
-        return Multiplet(frequencies, amplitudes)
     starts = np.ones(frequencies.size, dtype=bool)
     head = 0
     for i in candidates.tolist():
@@ -353,7 +332,9 @@ def _merge(frequencies: np.ndarray, amplitudes: np.ndarray) -> Multiplet:
     joined = ~starts
     # np.add.at adds unbuffered, in index order: a0 + a1 + a2 ...
     np.add.at(merged, np.cumsum(starts)[joined] - 1, amplitudes[joined])
-    return Multiplet(frequencies[starts], merged)
+    kept = frequencies[starts]
+    kept.flags.writeable = merged.flags.writeable = False
+    return Multiplet(kept, merged)
 
 
 def multiplet_lines(
@@ -370,9 +351,9 @@ def multiplet_lines(
     if n >= state.width:  # the work wire and var wires 1..n
         raise ValueError("kept wire out of range")
     mask = work_mask(state, n)
-    order, ordered, _ = _positions(system, n)
+    order, ordered, min_gap = _positions(system, n)
     # gather the 1-byte mask, not 8-byte amplitudes, into table order
-    return _merge(ordered, np.where(mask[order], -(2.0**-n), 2.0**-n))
+    return _merge(ordered, np.where(mask[order], -(2.0**-n), 2.0**-n), min_gap)
 
 
 def thermal_reference(system: SpinSystem, n: int) -> Multiplet:
@@ -381,8 +362,8 @@ def thermal_reference(system: SpinSystem, n: int) -> Multiplet:
     Defines the phase convention against which signed spectra are read.
     """
     _check_variable_spins(system, n)
-    order, ordered, _ = _positions(system, n)
-    return _merge(ordered, np.full(1 << n, 2.0**-n)[order])
+    order, ordered, min_gap = _positions(system, n)
+    return _merge(ordered, np.full(1 << n, 2.0**-n)[order], min_gap)
 
 
 def check_render_settings(
@@ -411,7 +392,7 @@ def check_render_settings(
 
 
 def render(
-    lines: Multiplet | tuple[SpectrumLine, ...],
+    lines: Multiplet,
     f_min: float,
     f_max: float,
     points: int,
@@ -425,8 +406,8 @@ def render(
     term = np.empty_like(freqs)
     # One line at a time through one buffer: a lines x points block was no
     # faster and multiplies peak memory.
-    line_freqs, amplitudes = _columns(lines)
-    for frequency, amplitude in zip(line_freqs.tolist(), amplitudes.tolist()):
+    line_freqs, amplitudes = lines.frequencies.tolist(), lines.amplitudes.tolist()
+    for frequency, amplitude in zip(line_freqs, amplitudes):
         np.subtract(freqs, frequency, out=term)
         np.multiply(term, term, out=term)
         np.add(term, lw2, out=term)
@@ -455,7 +436,7 @@ def check_resolvable(
 
 
 def extract_solutions(
-    lines: Multiplet | tuple[SpectrumLine, ...],
+    lines: Multiplet,
     system: SpinSystem,
     n: int,
     tolerance: float | None = None,
@@ -475,11 +456,12 @@ def extract_solutions(
         raise DegenerateMultipletError(
             "coinciding configuration frequencies; multiplet not decodable"
         )
-    line_freqs, amplitudes = _columns(lines)
+    line_freqs, amplitudes = lines.frequencies, lines.amplitudes
+    satisfying = np.zeros(1 << n, dtype=bool)
     if _certified(positions.ordered, line_freqs, tolerance):
         # line i is configuration order[i]: no search, no repeat check
-        satisfying = np.zeros(1 << n, dtype=bool)
         satisfying[positions.order] = amplitudes < 0
+        satisfying.flags.writeable = False
         return SolutionReport(n, satisfying)
     configs, hits = _match(positions, line_freqs, tolerance)
     # Report the first faulty line in input order: no hit, several hits, or
@@ -505,8 +487,8 @@ def extract_solutions(
         )
     if line_freqs.size != 1 << n:
         raise SpinSystemError("spectrum does not cover every configuration")
-    satisfying = np.zeros(1 << n, dtype=bool)
     satisfying[configs] = amplitudes < 0
+    satisfying.flags.writeable = False
     return SolutionReport(n, satisfying)
 
 
@@ -584,10 +566,18 @@ def load_spin_system(text: str) -> SpinSystem:
             raise ValueError(f"{key!r} must be a JSON list, not {kind}")
         return value
 
+    def floats(key: str, values) -> tuple[float, ...]:
+        try:
+            return tuple([float(v) for v in json_list(key, values)])
+        except OverflowError:  # an integer past float range
+            raise ValueError(f"{key!r} holds an integer too large for a float") from None
+
     names = tuple(json_list("names", data["names"]))
 
     def spin_index(ref) -> int:
         if isinstance(ref, str):
+            if ref not in names:
+                raise ValueError(f"unknown spin name {ref!r}")
             return names.index(ref)
         if isinstance(ref, int) and not isinstance(ref, bool):
             return ref
@@ -598,10 +588,10 @@ def load_spin_system(text: str) -> SpinSystem:
 
     return SpinSystem(
         names=names,
-        shifts=tuple(float(s) for s in json_list("shifts", data["shifts"])),
+        shifts=floats("shifts", data["shifts"]),
         observed=spin_index(data["observed"]),
         couplings=tuple(
-            tuple(float(j) for j in json_list(f"couplings[{i}]", row))
+            floats(f"couplings[{i}]", row)
             for i, row in enumerate(json_list("couplings", data["couplings"]))
         ),
         qubit_spins=spin_indices("variable_qubits", data["variable_qubits"]),
@@ -610,17 +600,14 @@ def load_spin_system(text: str) -> SpinSystem:
     )
 
 
-def line_table(
-    lines: Multiplet | tuple[SpectrumLine, ...], system: SpinSystem, n: int
-) -> str:
+def line_table(lines: Multiplet, system: SpinSystem, n: int) -> str:
     """Text table: frequency, amplitude, decoded x_n..x_1 bitstring.
 
     A line that does not match exactly one configuration is labelled "?".
     """
     positions = _positions(system, n)
-    line_freqs, amplitudes = _columns(lines)
-    order = np.argsort(line_freqs, kind="stable")
-    line_freqs, amplitudes = line_freqs[order], amplitudes[order]
+    order = np.argsort(lines.frequencies, kind="stable")
+    line_freqs, amplitudes = lines.frequencies[order], lines.amplitudes[order]
     configs, hits = _match(positions, line_freqs, _default_tolerance(positions))
     labels = bitstring_labels(configs, n)
     for unmatched in np.flatnonzero(hits != 1).tolist():

@@ -2,17 +2,10 @@ import random
 
 import pytest
 
-from cnotsat import Clause, CnfFormula, Literal, parse_dimacs, spectrum
+from cnotsat import Clause, CnfFormula, Literal, parse_dimacs
 
 PAPER_3SAT = "p cnf 3 3\n1 2 3 0\n1 2 -3 0\n-1 2 3 0\n"
 PAPER_1SAT = "p cnf 3 3\n-1 0\n2 0\n3 0\n"  # not-x1 and x2 and x3
-
-
-@pytest.fixture(autouse=True)
-def fresh_position_tables():
-    """Each test starts with no cached line-position tables, so a stale
-    entry cannot pass for a fresh build whatever order tests run in."""
-    spectrum._sorted_positions.cache_clear()
 
 
 @pytest.fixture

@@ -13,12 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from cnotsat import DegenerateMultipletError, SolutionReport, SpinSystemError
-from cnotsat.spectrum import (
-    _check_variable_spins,
-    _columns,
-    _default_tolerance,
-    _positions,
-)
+from cnotsat.spectrum import _check_variable_spins, _default_tolerance, _positions
 
 
 def match(positions, line_freqs, tolerance):
@@ -58,7 +53,7 @@ def extract_solutions(lines, system, n, tolerance=None):
         raise DegenerateMultipletError(
             "coinciding configuration frequencies; multiplet not decodable"
         )
-    line_freqs, amplitudes = _columns(lines)
+    line_freqs, amplitudes = lines.frequencies, lines.amplitudes
     configs, hits = match(positions, line_freqs, tolerance)
     faulty = hits != 1
     unique = np.flatnonzero(~faulty)

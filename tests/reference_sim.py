@@ -124,7 +124,7 @@ def reference_marginalize(state: SupportState, keep) -> SupportState:
     return SupportState(len(keep), reduced[starts], weights)
 
 
-def planes_of_columns(num_vars: int, width: int, columns) -> PopulationState:
+def column_planes(num_vars: int, width: int, columns) -> PopulationState:
     """Bit-plane state whose column c sits on basis state columns[c]."""
     columns = np.asarray(columns, dtype=np.int64)
     bits = (columns[None, :] >> np.arange(width)[:, None]) & 1

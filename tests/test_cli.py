@@ -312,6 +312,13 @@ BAD_SPIN_FILES = {
     "scratch-str": {**SPIN_BASE, "scratch_qubits": "A"},
     "scratch-coupled": {**SPIN_BASE, "scratch_qubits": ["A"]},
     "list": [SPIN_BASE],
+    "unknown-name": {**SPIN_BASE, "observed": "Z"},
+    # valid JSON integers past float range
+    "coupling-huge-int": {
+        **SPIN_BASE,
+        "couplings": [[0, 0, 20], [0, 0, 10**400], [20, 10**400, 0]],
+    },
+    "shift-huge-int": {**SPIN_BASE, "shifts": [0, -(10**400), 0]},
 }
 UNDECODABLE_SPIN_FILES = {  # resolvable by line gaps alone, yet not decodable
     "infinite": {  # one variable coupled by Infinity: lines at -inf and +inf
@@ -357,6 +364,7 @@ NON_FINITE_TRACE_SETTINGS = {
         ["spectrum", "--dimacs", PAPER_1SAT, "--trace", "{tmp}/missing/t.csv"],
         ["random", "3", "2", "2", "-o", "{tmp}/missing/r.cnf"],
         ["verify", "--dimacs", "p cnf 25 1\n1 2 0"],
+        ["verify", "--corpus", "0"],
         ["compile", "--width-cap", "3", "--dimacs", "p cnf 5 1\n1 2 0"],
         ["compile", "--width-cap", "3", "--dimacs", "p cnf 5 2\n1 0\n3 0"],
         *(
@@ -383,6 +391,7 @@ NON_FINITE_TRACE_SETTINGS = {
         "trace",
         "random-o",
         "verify-n25",
+        "verify-corpus-0",
         "compile-cap-clause",
         "compile-cap-units",
         *(f"spin-{name}" for name in BAD_SPIN_FILES),
@@ -411,6 +420,21 @@ def test_failures_exit_2_with_one_line(argv, tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["solve --via-spectrum", "spectrum", "verify"])
+def test_bad_spin_files_name_the_fault(command, tmp_path, capsys):
+    for name, fault in (
+        ("unknown-name", "unknown spin name 'Z'"),
+        ("coupling-huge-int", "'couplings[1]' holds an integer too large for a float"),
+        ("shift-huge-int", "'shifts' holds an integer too large for a float"),
+    ):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(BAD_SPIN_FILES[name]))
+        argv = [*command.split(), "--dimacs", TWO_VARS, "--spin-system", str(path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: bad spin-system file {str(path)!r}: {fault}\n"
 
 
 @pytest.mark.parametrize(

@@ -34,7 +34,7 @@ from reference_sim import (
     SupportState,
     apply_gate,
     initial_support,
-    planes_of_columns,
+    column_planes,
     reference_marginalize,
     reference_run,
     reference_true_space,
@@ -84,7 +84,7 @@ class TestInitialState:
     def test_tiled_rows_are_the_assignment_bits(self, n):
         layout = QubitLayout(n, 2)
         columns = np.arange(1 << n) << 1  # bit i of column c is x_i of c
-        expected = planes_of_columns(n, layout.width, columns).planes
+        expected = column_planes(n, layout.width, columns).planes
         planes = initial_mixed_state(layout).planes
         assert planes.dtype == np.uint8
         assert planes.shape == (n + 3, max(1, (1 << n) // 8))
@@ -188,7 +188,7 @@ class TestTrueSpace:
     def test_rejects_non_pipeline_state(self):
         layout = QubitLayout(1, 0)
         # both assignments on x1=0, one with each work bit: x1=1 is lost
-        state = planes_of_columns(1, 2, [0b01, 0b00])
+        state = column_planes(1, 2, [0b01, 0b00])
         with pytest.raises(PipelineFormError, match="variable x1"):
             true_space(state, layout)
 
@@ -254,6 +254,25 @@ class TestSolutionReport:
             report.satisfying[0] = True
         mask[0] = True
         assert report.count == 1
+
+    @pytest.mark.parametrize("given", ["list", "read-only view"])
+    def test_mask_copies_what_a_caller_can_write(self, given):
+        mask = np.array([False, True])
+        satisfying = mask.tolist() if given == "list" else mask.view()
+        if given == "read-only view":
+            satisfying.flags.writeable = False
+        report = SolutionReport(1, satisfying)
+        mask[0] = True
+        assert report.satisfying.tolist() == [False, True]
+
+    def test_mask_nothing_can_write_is_kept(self):
+        mask = np.array([False, True])
+        mask.flags.writeable = False
+        assert SolutionReport(1, mask).satisfying is mask
+        layout = QubitLayout(1, 0)
+        readout = true_space(initial_mixed_state(layout), layout).satisfying
+        assert not readout.flags.writeable and not readout.base.flags.writeable
+        assert SolutionReport(1, readout).satisfying is readout
 
     def test_equality_compares_variables_and_mask(self):
         assert SolutionReport(1, [False, True]) == SolutionReport(1, np.array([0, 1]))
@@ -459,7 +478,7 @@ class TestSupportState:
             SupportState.from_populations(2, [0.5, 0.5])
 
     def test_marginalize_sums_points_on_one_reduced_index(self):
-        state = planes_of_columns(2, 3, [5, 5, 1, 4])
+        state = column_planes(2, 3, [5, 5, 1, 4])
         assert state.populations.tolist() == [0, 0.25, 0, 0, 0.25, 0.5, 0, 0]
         assert marginalize(state, (0,)).populations.tolist() == [0.25, 0.75]
         reference = SupportState(3, np.array([5, 1, 4]), np.array([0.5, 0.25, 0.25]))

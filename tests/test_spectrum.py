@@ -44,7 +44,6 @@ from cnotsat.spectrum import (
     _check_variable_spins,
     _merge,
     _positions,
-    _sorted_positions,
     config_frequencies,
     line_table,
     trace_csv,
@@ -52,7 +51,7 @@ from cnotsat.spectrum import (
 import reference_decode
 from reference_sim import (
     SupportState,
-    planes_of_columns,
+    column_planes,
     reference_marginalize,
     reference_run,
     reference_true_space,
@@ -182,14 +181,14 @@ class TestThermalReference:
 
 class TestRender:
     def test_lorentzian_half_width(self):
-        lines = (SpectrumLine(0.0, 1.0),)
+        lines = Multiplet([0.0], [1.0])
         freqs, values = render(lines, -2.0, 2.0, 5, linewidth=1.0)
         assert values[2] == pytest.approx(1.0)  # f = 0
         assert values[1] == pytest.approx(0.5)  # f = -1
         assert values[3] == pytest.approx(0.5)  # f = +1
 
     def test_opposite_lines_cancel(self):
-        lines = (SpectrumLine(5.0, 0.25), SpectrumLine(5.0, -0.25))
+        lines = Multiplet([5.0, 5.0], [0.25, -0.25])
         _, values = render(lines, 0.0, 10.0, 101, linewidth=1.0)
         assert np.allclose(values, 0.0)
 
@@ -220,7 +219,7 @@ class TestRender:
     )
     def test_rejects_bad_grid(self, kwargs):
         with pytest.raises(ValueError):
-            render((SpectrumLine(0.0, 1.0),), **kwargs)
+            render(Multiplet([0.0], [1.0]), **kwargs)
 
 
 def reference_trace_csv(freqs, values):
@@ -252,7 +251,7 @@ class TestTraceCsv:
     def test_no_rows_give_one_newline(self):
         empty = np.array([], dtype=float)
         assert trace_csv(empty, empty) == reference_trace_csv(empty, empty) == "\n"
-        assert line_table((), synthetic_system(2), 2) == "\n"
+        assert line_table(Multiplet([], []), synthetic_system(2), 2) == "\n"
 
 
 class TestExtractSolutions:
@@ -286,7 +285,7 @@ class TestExtractSolutions:
             extract_solutions(lines, system, 2)
 
     def test_unmatched_line_rejected(self):
-        lines = (SpectrumLine(999.0, 1.0),)
+        lines = Multiplet([999.0], [1.0])
         with pytest.raises(SpinSystemError):
             extract_solutions(lines, alanine_3q(), 1)
 
@@ -581,7 +580,8 @@ def decode_cases(draw):
         else:
             copy = lines[draw(st.integers(0, len(lines) - 1))]
             lines = lines[:i] + [copy] + lines[i:]
-    return system, n, tuple(lines), tolerance
+    lines = Multiplet([l.frequency for l in lines], [l.amplitude for l in lines])
+    return system, n, lines, tolerance
 
 
 class TestSortedMatcher:
@@ -612,11 +612,7 @@ class TestSortedMatcher:
             qubit_spins=(1, 2),
         )
         assert reference_tolerance(system, 2) == 0.0
-        lines = (
-            SpectrumLine(0.0, 0.5),
-            SpectrumLine(20.0, 0.25),
-            SpectrumLine(20.0 + 1e-12, 0.25),
-        )
+        lines = Multiplet([0.0, 20.0, 20.0 + 1e-12], [0.5, 0.25, 0.25])
         table = line_table(lines, system, 2)
         labels = [row.split()[-1] for row in table.splitlines()]
         assert labels == ["?", "00", "?"]
@@ -667,34 +663,34 @@ class TestPositionTable:
         for column in (order, ordered):
             with pytest.raises(ValueError):
                 column[0] = 0
-        assert _sorted_positions.cache_info().maxsize == 8
 
-    def test_large_tables_are_not_kept(self, monkeypatch):
-        monkeypatch.setattr(spectrum, "_CACHE_MAX_BYTES", 16 << 2)
-        small = spin_system((20.0, 40.0))
-        large = spin_system((20.0, 40.0, 80.0))
-        assert _positions(*small) is _positions(*small)
-        first = _positions(*large)
-        assert _positions(*large) is not first
-        assert float_bits(_positions(*large).ordered) == float_bits(first.ordered)
-        assert _sorted_positions.cache_info().currsize == 1
-
-    def test_equal_systems_share_one_entry(self, monkeypatch):
+    def test_one_system_builds_each_table_once(self, monkeypatch):
         builds = count_calls(monkeypatch, "_doubling")
-        first = _positions(*spin_system((20.0, 40.0)))
-        assert _positions(*spin_system((20.0, 40.0))) is first
+        system, n = spin_system((20.0, 40.0))
+        first = _positions(system, n)
+        assert _positions(system, n) is first
         assert builds == [1]
+        assert _positions(system, n - 1).ordered.size == 2
+        assert builds == [2]
+        # an equal system built anew builds and keeps its own table
+        twin, _ = spin_system((20.0, 40.0))
+        assert twin == system and hash(twin) == hash(system)
+        second = _positions(twin, n)
+        assert second is not first and _positions(twin, n) is second
+        assert float_bits(second.ordered) == float_bits(first.ordered)
+        assert _positions(system, n) is first
+        assert builds == [3]
 
     def test_solve_builds_the_table_at_most_once(self, monkeypatch, capsys):
+        # each main call builds exactly one table, whatever its size
         builds = count_calls(monkeypatch, "_doubling")
-        formula = to_dimacs(generate_random_ksat(8, 12, 3, seed=5))
-        argv = ["solve", "--dimacs", formula, "--via-spectrum"]
-        assert cli.main(argv + ["--spin-system", "synthetic"]) == 0
-        assert builds == [1]
-        # the second call builds a new, equal system and finds its table
-        assert cli.main(argv + ["--spin-system", "synthetic"]) == 0
-        assert builds == [1]
-        assert "agree" in capsys.readouterr().out
+        small = generate_random_ksat(8, 12, 3, seed=5)
+        large = generate_random_ksat(19, 3, 3, seed=5)
+        for calls, formula in enumerate((small, small, large), start=1):
+            argv = ["solve", "--dimacs", to_dimacs(formula), "--via-spectrum"]
+            assert cli.main(argv + ["--spin-system", "synthetic"]) == 0
+            assert builds == [calls]
+        assert capsys.readouterr().out.count("agree") == 3
 
 
 def count_calls(monkeypatch, name):
@@ -818,18 +814,24 @@ def dyadic_states(draw):
     reference = SupportState.from_populations(layout.width, populations)
     # column c holds configuration c whenever every configuration has a point
     columns = [point for _, point in sorted(zip(configs, points))]
-    return planes_of_columns(n, layout.width, columns), reference, layout, system
+    return column_planes(n, layout.width, columns), reference, layout, system
 
 
 class TestLineArrays:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(MERGE_FREQS, MERGE_AMPS), max_size=12))
+    @example([(0.0, 0.25), (MERGE_TOL_HZ, 0.25)])  # a gap of exactly the tolerance
     def test_merge_equals_per_line_merge(self, rows):
         freqs = np.array([f for f, _ in rows], dtype=float)
         amps = np.array([a for _, a in rows], dtype=float)
         expected = reference_merged([SpectrumLine(f, a) for f, a in rows])
         order = np.argsort(freqs, kind="stable")
-        assert bits(_merge(freqs[order], amps[order])) == bits(expected)
+        # a NaN gap takes the full merge, whatever the lines
+        assert bits(_merge(freqs[order], amps[order], np.nan)) == bits(expected)
+        with np.errstate(invalid="ignore"):
+            gaps = np.diff(freqs[order])
+        min_gap = float(gaps.min()) if gaps.size else np.inf
+        assert bits(_merge(freqs[order], amps[order], min_gap)) == bits(expected)
 
     @settings(max_examples=150, deadline=None)
     @given(spin_systems())
@@ -874,6 +876,29 @@ class TestLineArrays:
             assert column.dtype == np.float64
             with pytest.raises(ValueError):
                 column[0] = 0.0
+
+    @pytest.mark.parametrize("given", ["list", "writeable", "read-only view"])
+    def test_multiplet_copies_what_a_caller_can_write(self, given):
+        freqs, amps = np.array([-1.0, 2.0]), np.array([0.5, -0.5])
+        columns = [freqs.tolist(), amps.tolist()] if given == "list" else [freqs, amps]
+        if given == "read-only view":
+            columns = [column.view() for column in columns]
+            for column in columns:
+                column.flags.writeable = False
+        lines = Multiplet(*columns)
+        freqs[0] = amps[0] = 7.0
+        assert lines.frequencies.tolist() == [-1.0, 2.0]
+        assert lines.amplitudes.tolist() == [0.5, -0.5]
+
+    def test_multiplet_keeps_arrays_nothing_can_write(self):
+        freqs, amps = np.array([-1.0, 2.0]), np.array([0.5, -0.5])
+        freqs.flags.writeable = amps.flags.writeable = False
+        lines = Multiplet(freqs, amps)
+        assert lines.frequencies is freqs and lines.amplitudes is amps
+        view = lines[1:]
+        assert view.frequencies.base is freqs and view.amplitudes.base is amps
+        system = alanine_3q()
+        assert thermal_reference(system, 2).frequencies is _positions(system, 2).ordered
 
     def test_narrow_state_rejected(self):
         with pytest.raises(ValueError, match="kept wire out of range"):

@@ -186,7 +186,7 @@ def _gates(plan: list[Step]) -> list[Gate]:
     return gates
 
 
-def _general_layout(formula: CnfFormula, width_cap: int) -> QubitLayout:
+def _general_layout(formula: CnfFormula, width_cap: int | None) -> QubitLayout:
     """Check the formula for the general path and return its layout: one
     scratch wire per clause, clause mu computed onto scratch wire mu."""
     m = formula.num_clauses
@@ -196,9 +196,13 @@ def _general_layout(formula: CnfFormula, width_cap: int) -> QubitLayout:
         if not clause.literals:
             raise CompileError("empty clause has no circuit form")
     layout = QubitLayout(formula.num_vars, m)
-    if layout.width > width_cap:
-        raise CompileError(f"width {layout.width} exceeds cap {width_cap}")
+    _check_cap(layout, width_cap)
     return layout
+
+
+def _check_cap(layout: QubitLayout, width_cap: int | None) -> None:
+    if width_cap is not None and layout.width > width_cap:
+        raise CompileError(f"width {layout.width} exceeds cap {width_cap}")
 
 
 def _formula_plan(
@@ -216,9 +220,10 @@ def _formula_plan(
     return plan, starts
 
 
-def compile_formula(formula: CnfFormula, width_cap: int = 24) -> Circuit:
+def compile_formula(formula: CnfFormula, width_cap: int | None = None) -> Circuit:
     """General path: one clause block per clause, then an MCX from all scratch
     wires onto the work wire.  Maps |x>|0>|0..0> to |x>|F(x)>|C_m(x)..C_1(x)>.
+    A circuit wider than width_cap, when one is given, is a CompileError.
     """
     layout = _general_layout(formula, width_cap)
     plan, _ = _formula_plan(formula, layout)
@@ -313,20 +318,19 @@ def append_uncompute(circuit: Circuit, formula: CnfFormula) -> Circuit:
     return _built(circuit.layout, gates + tuple(tail))
 
 
-def compile_auto(formula: CnfFormula, width_cap: int = 24) -> Circuit:
+def compile_auto(formula: CnfFormula, width_cap: int | None = None) -> Circuit:
     """Pick the cheapest faithful path: unit-clause conjunctions get the
     scratch-free MCX form, lone clauses the no-scratch form, everything else
     the general clause-block construction.  A formula with no clauses is
     constant true (one NOT on the work wire); one with an empty clause is
     constant false (no gates).  Whichever path is picked, a circuit wider
-    than width_cap is a CompileError."""
+    than width_cap, when one is given, is a CompileError."""
     circuit = _pick_path(formula, width_cap)
-    if circuit.layout.width > width_cap:
-        raise CompileError(f"width {circuit.layout.width} exceeds cap {width_cap}")
+    _check_cap(circuit.layout, width_cap)
     return circuit
 
 
-def _pick_path(formula: CnfFormula, width_cap: int) -> Circuit:
+def _pick_path(formula: CnfFormula, width_cap: int | None) -> Circuit:
     layout = QubitLayout(formula.num_vars)
     if not formula.clauses:
         return Circuit(layout, (Not(layout.work_wire),))
@@ -442,9 +446,7 @@ def circuit_census(circuit: Circuit) -> tuple[dict[int, int], int]:
 
 def cost_model(formula: CnfFormula) -> GateCounts:
     """`gate_counts` of the circuit `compile_auto` picks (pre-peephole)."""
-    # Counting allocates no state, so the simulator's width cap does not apply.
-    uncapped = QubitLayout(formula.num_vars, formula.num_clauses).width
-    return gate_counts(compile_auto(formula, width_cap=uncapped))
+    return gate_counts(compile_auto(formula))
 
 
 def gate_counts(circuit: Circuit) -> GateCounts:

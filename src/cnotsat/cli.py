@@ -17,6 +17,37 @@ class CliError(Exception):
     """User-facing failure with a message and nonzero exit status."""
 
 
+# Bytes per line of `spectrum --json` at its peak: the line's dict, two float
+# objects and their slots, and json's chunks and text.  Measured, as the
+# encoder sets them: 873 with both float reprs at their widest (24
+# characters), 823 on the synthetic system.
+JSON_LINE_BYTES = 880
+
+
+def _solution_bytes(n: int) -> int:
+    """Bytes per listed solution at its peak: its label string (at most
+    n + 64 bytes) and list slot, then the JSON chunk (n + 80), text and
+    printed bytes (n + 8 each) of solve, or verify's mismatch text."""
+    return 4 * n + 168
+
+
+def _bounded(check, *args) -> None:
+    """A bytes check of sim.MAX_BYTES; over it, a one-line CLI error."""
+    try:
+        check(*args)
+    except ValueError as exc:
+        raise CliError(str(exc)) from exc
+
+
+def _bitstrings(report: sim.SolutionReport, listed: int = 0) -> list[str]:
+    """report's solutions as labels, once their bytes and those of the
+    `listed` solutions already held are checked."""
+    count = listed + report.count
+    per_solution = _solution_bytes(report.num_vars)
+    _bounded(sim.check_bytes, f"a list of {count} solutions", count * per_solution)
+    return list(report.bitstrings())
+
+
 def _read_input(args) -> cnf.CnfFormula:
     if args.dimacs is not None:
         text = args.dimacs
@@ -60,7 +91,9 @@ def _require_resolvable(
     try:
         resolvable = spec.check_resolvable(system, n, min_separation)
     except ValueError as exc:
-        raise CliError(f"bad --min-separation: {exc}") from exc
+        # min_separation is checked first, so a later error is not about it
+        label = "" if min_separation > 0 else "bad --min-separation: "
+        raise CliError(f"{label}{exc}") from exc
     if not resolvable:
         raise CliError("spin system is not resolvable for this formula")
 
@@ -91,7 +124,7 @@ def _compile(
     blocks and an injected fault) and the one to run, which is the compiled
     circuit peepholed unless --no-peephole."""
     try:
-        forward = raw = circ.compile_auto(formula, args.width_cap)
+        forward = raw = circ.compile_auto(formula)
         if args.uncompute and raw.layout.num_scratch:  # else nothing to clear
             raw = circ.append_uncompute(raw, formula)
     except circ.CompileError as exc:
@@ -103,17 +136,19 @@ def _compile(
 
 def _simulate(circuit: circ.Circuit, args) -> sim.PopulationState:
     try:
-        return sim.run(circuit, width_cap=args.width_cap)
+        return sim.run(circuit)
     except ValueError as exc:
         raise CliError(f"simulation error: {exc}") from exc
 
 
 def _solve_pipeline(formula: cnf.CnfFormula, args) -> dict:
     start = time.perf_counter()
+    if args.via_spectrum:  # refused before anything is simulated
+        _bounded(spec.check_table_bytes, formula.num_vars)
     *_, circuit = _compile(formula, args)
     state = _simulate(circuit, args)
     report = sim.true_space(state, circuit.layout)
-    solutions = list(report.bitstrings())
+    solutions = _bitstrings(report)
     summary = {
         "num_vars": formula.num_vars,
         "num_clauses": formula.num_clauses,
@@ -127,7 +162,7 @@ def _solve_pipeline(formula: cnf.CnfFormula, args) -> dict:
         summary["resolvable"] = True
         lines = spec.multiplet_lines(state, circuit.layout, system)
         decoded = spec.extract_solutions(lines, system, formula.num_vars)
-        spectral = list(decoded.bitstrings())
+        spectral = _bitstrings(decoded, len(solutions))
         summary["spectral_solutions"] = spectral
         summary["paths_agree"] = spectral == solutions
     summary["elapsed_s"] = time.perf_counter() - start
@@ -200,13 +235,22 @@ def cmd_compile(args) -> int:
 
 def cmd_spectrum(args) -> int:
     formula = _read_input(args)
+    n = formula.num_vars
     if args.trace:
         f_min, f_max, points = _parse_grid(args.grid)
         try:
             spec.check_render_settings(f_min, f_max, points, args.linewidth)
         except ValueError as exc:
             raise CliError(f"cannot render trace: {exc}") from exc
-    n = formula.num_vars
+        trace_bytes = spec.trace_bytes(f_min, f_max, points)
+        _bounded(sim.check_bytes, f"trace of {points} points", trace_bytes)
+    # from n alone, before the spin system is built: at most 2^n lines
+    _bounded(spec.check_table_bytes, n)
+    if args.json:
+        _bounded(sim.check_bytes, f"JSON of 2^{n} lines", JSON_LINE_BYTES, n)
+    else:
+        line_bytes = spec.line_text_bytes(n)
+        _bounded(sim.check_bytes, f"line table of 2^{n} lines", line_bytes, n)
     system = _spin_system(args.spin_system, n)
     _require_resolvable(system, n, args.min_separation)
     if args.thermal:
@@ -230,7 +274,11 @@ def cmd_spectrum(args) -> int:
             )
         )
     else:
-        print(spec.line_table(lines, system, n), end="")
+        try:
+            table = spec.line_table(lines, system, n)
+        except ValueError as exc:  # its fields are wider than the check above
+            raise CliError(str(exc)) from exc
+        print(table, end="")
     if args.trace:
         freqs, values = spec.render(lines, f_min, f_max, points, args.linewidth)
         _write_text(args.trace, spec.trace_csv(freqs, values))
@@ -303,7 +351,6 @@ def _add_common(parser: argparse.ArgumentParser, needs_input: bool = True) -> No
         parser.add_argument(
             "--dimacs", help="inline DIMACS text instead of a file"
         )
-    parser.add_argument("--width-cap", type=int, default=24)
     parser.add_argument("--json", action="store_true", help="structured output")
 
 
@@ -365,7 +412,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--dimacs", help="inline DIMACS text")
     p_verify.add_argument("--corpus", type=int, default=200)
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--width-cap", type=int, default=24)
     p_verify.add_argument(
         "--inject-fault",
         action="store_true",

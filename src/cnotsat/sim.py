@@ -10,6 +10,27 @@ stored bit-sliced, one packed row of 2^n bits per wire, indexed by the
 initial assignment: width x ceil(2^n / 8) bytes for any number of wires.
 NOT inverts a row, MCX XORs the AND of its control rows into its target
 row, and the work row is the readout.
+
+Memory has one bound, MAX_BYTES (1 GiB), and one check, check_bytes: each
+large allocation of the package counts its bytes first and is refused with
+a ValueError past the bound, so no option bounds the circuit width.  The
+counts, read off the code that allocates and held above tracemalloc peaks
+by the tests:
+- simulation state (`run`, then `work_mask`): (width + max(n, 8) + 1)
+  rows of ceil(2^n / 8) bytes, the planes beside the n input rows and the
+  scratch row, or beside the work row unpacked to 2^n bytes;
+- dense view (`PopulationState.populations`): the view, 8 x 2^width bytes;
+  its column index and weights add 16 bytes per assignment;
+- line-position table (`spectrum.TABLE_BYTES`): 32 bytes per line, which
+  also cover the multiplet and, from n = 16 on, the decode beside it;
+- `spectrum.line_table` text: 271 + 2.25 n bytes per line at the narrowest
+  fields (302 at n = 14), more for wider ones (`spectrum.line_text_bytes`);
+- `spectrum.render`: 24 bytes per point; with the CSV of `trace_csv`,
+  169 per point on a grid within +-99999 Hz (`spectrum.trace_bytes`);
+- `spectrum --json` lines: 880 bytes per line (`cli.JSON_LINE_BYTES`);
+- solution lists of `solve` and `verify`: 4 n + 168 bytes per solution.
+The CLI checks a spectral run's table and output from n before it builds
+its spin system or simulates anything.
 """
 
 from __future__ import annotations
@@ -21,10 +42,22 @@ import numpy as np
 from .circuit import Circuit, Not, QubitLayout
 from .cnf import Assignment
 
-WIDTH_CAP = 24
-# The dense view holds one float64 per basis state, 8 x 2^width bytes: 128 MiB
-# at width 24, 1 GiB at width 27.  A wider view is refused before allocating.
-DENSE_VIEW_MAX_BYTES = 1 << 30
+MAX_BYTES = 1 << 30
+
+
+def check_bytes(what: str, nbytes: int, doublings: int = 0) -> None:
+    """Raise ValueError when `what`, nbytes x 2^doublings bytes, would pass
+    MAX_BYTES.  Past 2^64 the count is named as that product, so no huge
+    power of two is built for it."""
+    if nbytes <= 0:
+        return
+    if doublings > 64:
+        needed = f"{nbytes} x 2^{doublings}"
+    else:
+        needed = nbytes << doublings
+        if needed <= MAX_BYTES:
+            return
+    raise ValueError(f"{what} needs {needed} bytes, over the {MAX_BYTES}-byte bound")
 
 
 class PipelineFormError(ValueError):
@@ -65,19 +98,19 @@ class PopulationState:
     def populations(self) -> np.ndarray:
         """Dense view of 2^width weights, built on each access.  Columns on
         one basis state add up; 2^-n times a count is exact.  Raises
-        ValueError when the view would exceed DENSE_VIEW_MAX_BYTES."""
-        needed = 8 << self.width
-        if needed > DENSE_VIEW_MAX_BYTES:
-            raise ValueError(
-                f"dense view of width {self.width} needs {needed} bytes, over "
-                f"the {DENSE_VIEW_MAX_BYTES}-byte bound"
-            )
+        ValueError when the view would pass MAX_BYTES."""
+        check_bytes(f"dense view of width {self.width}", 8, self.width)
         n = self.num_vars
-        bits = np.unpackbits(self.planes, axis=1, count=1 << n, bitorder="little")
         index = np.zeros(1 << n, dtype=np.int64)
-        for wire, row in enumerate(bits):
-            index |= row.astype(np.int64) << wire
-        return np.bincount(index, minlength=1 << self.width) * 2.0**-n
+        bits = np.empty_like(index)
+        for wire, row in enumerate(self.planes):
+            bits[:] = np.unpackbits(row, count=1 << n, bitorder="little")
+            index |= np.left_shift(bits, wire, out=bits)
+        del bits
+        # weights summed in float64 straight into the view: every partial sum
+        # is a multiple of 2^-n below 1, so each entry is exact
+        weights = np.full(1 << n, 2.0**-n)
+        return np.bincount(index, weights, minlength=1 << self.width)
 
 
 def _read_only(values, dtype) -> np.ndarray:
@@ -102,8 +135,12 @@ def bitstring_labels(configs: np.ndarray, num_vars: int) -> list[str]:
     if num_vars == 0:
         return [""] * configs.size
     shifts = np.arange(num_vars - 1, -1, -1, dtype=np.int64)
-    # one UCS4 code unit per digit, so each row of the block is one string
-    digits = ((configs[:, None] >> shifts) & 1).astype(np.uint32) + ord("0")
+    # one UCS4 code unit per digit, so each row of the block is one string;
+    # shifted in buffered chunks straight into it, with no int64 block
+    digits = np.empty((configs.size, num_vars), dtype=np.uint32)
+    np.right_shift(configs[:, None], shifts, out=digits, casting="unsafe")
+    digits &= 1
+    digits += ord("0")
     return digits.view(f"U{num_vars}").ravel().tolist()
 
 
@@ -165,26 +202,26 @@ def _variable_rows(num_vars: int) -> np.ndarray:
     return rows
 
 
-def _initial_planes(layout: QubitLayout, width_cap: int) -> np.ndarray:
-    """Writable planes of the initial mixture, for run to permute in place."""
-    width = layout.width
-    if width > width_cap:
-        raise ValueError(f"width {width} exceeds cap {width_cap}")
-    n = layout.num_vars
+def _initial_planes(layout: QubitLayout) -> np.ndarray:
+    """Writable planes of the initial mixture, for run to permute in place.
+    Checks the bytes of the whole simulation first: the planes, the input
+    rows beside them, and run's scratch row or work_mask's work row."""
+    width, n = layout.width, layout.num_vars
+    check_bytes(
+        f"simulation state of width {width}", width + max(n, 8) + 1, max(n - 3, 0)
+    )
     planes = np.zeros((width, _row_bytes(n)), dtype=np.uint8)
     planes[1 : n + 1] = _variable_rows(n)
     return planes
 
 
-def initial_mixed_state(
-    layout: QubitLayout, width_cap: int = WIDTH_CAP
-) -> PopulationState:
+def initial_mixed_state(layout: QubitLayout) -> PopulationState:
     """Uniform mixture over all variable assignments; work and scratch bits 0."""
-    return PopulationState(layout.num_vars, _initial_planes(layout, width_cap))
+    return PopulationState(layout.num_vars, _initial_planes(layout))
 
 
-def run(circuit: Circuit, width_cap: int = WIDTH_CAP) -> PopulationState:
-    planes = _initial_planes(circuit.layout, width_cap)
+def run(circuit: Circuit) -> PopulationState:
+    planes = _initial_planes(circuit.layout)
     scratch = np.empty(planes.shape[1], dtype=np.uint8)
     for gate in circuit.gates:  # every wire of a Circuit is within its width
         target = planes[gate.target]
@@ -209,10 +246,12 @@ def work_mask(state: PopulationState, num_vars: int) -> np.ndarray:
     if state.num_vars != num_vars:
         raise ValueError(f"state on {state.num_vars} variables read as {num_vars}")
     n = num_vars
-    moved = state.planes[1 : n + 1] ^ _variable_rows(n)
+    moved = _variable_rows(n)
+    moved ^= state.planes[1 : n + 1]
     if n < 3:  # one byte, whose bits past column 2^n - 1 are padding
         moved &= (1 << (1 << n)) - 1
-    changed = np.flatnonzero(moved.any(axis=1))
+    changed = np.flatnonzero(moved.max(axis=1))  # any() would cast in a buffer
+    del moved  # before the work row is unpacked beside the planes
     if changed.size:
         raise PipelineFormError(
             f"circuit does not restore variable x{changed[0] + 1}"

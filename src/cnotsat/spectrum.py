@@ -17,10 +17,21 @@ from typing import NamedTuple
 import numpy as np
 
 from .circuit import QubitLayout
-from .sim import PopulationState, SolutionReport, bitstring_labels, work_mask
-from .sim import _read_only
+from .sim import PopulationState, SolutionReport, bitstring_labels, check_bytes
+from .sim import _read_only, work_mask
 
 MERGE_TOL_HZ = 1e-9
+
+# Bytes per line or grid point of this module's large allocations at their
+# peak, read off the code below; each is checked with sim.check_bytes before
+# anything is allocated.  The line-position table holds three 8-byte arrays
+# at once while it is built (positions or gaps, the order and the sorted
+# copy) and keeps two.  The multiplet beside it adds 10 bytes per line, and
+# the decode beside both 2 bytes per line and a fixed 256 KiB block buffer:
+# 32 bytes per line cover each step from n = 16 on.
+TABLE_BYTES = 32
+# render: the grid, the sum and one buffer
+RENDER_BYTES = 24
 
 
 class SpinSystemError(ValueError):
@@ -201,9 +212,11 @@ def _positions(system: SpinSystem, n: int) -> _Positions:
     table = system._tables.get(n)
     if table is not None:
         return table
+    check_table_bytes(n)
     freqs = config_frequencies(system, n)
     order = np.argsort(freqs, kind="stable")
     ordered = freqs[order]
+    del freqs  # the sorted copy replaces it before the gaps are taken
     with np.errstate(invalid="ignore"):  # inf - inf is NaN
         gaps = np.diff(ordered)
     min_gap = float(gaps.min()) if gaps.size else math.inf
@@ -211,6 +224,12 @@ def _positions(system: SpinSystem, n: int) -> _Positions:
     ordered.flags.writeable = False
     table = system._tables[n] = _Positions(order, ordered, min_gap)
     return table
+
+
+def check_table_bytes(n: int) -> None:
+    """Raise ValueError when the line-position table at n would pass
+    sim.MAX_BYTES; 2^n is not built first."""
+    check_bytes(f"line-position table at n={n}", TABLE_BYTES, n)
 
 
 def _default_tolerance(positions: _Positions) -> float:
@@ -362,8 +381,9 @@ def thermal_reference(system: SpinSystem, n: int) -> Multiplet:
     Defines the phase convention against which signed spectra are read.
     """
     _check_variable_spins(system, n)
-    order, ordered, min_gap = _positions(system, n)
-    return _merge(ordered, np.full(1 << n, 2.0**-n)[order], min_gap)
+    _, ordered, min_gap = _positions(system, n)
+    # equal amplitudes need no gather into table order
+    return _merge(ordered, np.full(1 << n, 2.0**-n), min_gap)
 
 
 def check_render_settings(
@@ -400,14 +420,14 @@ def render(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sum of absorptive Lorentzians (unit height at center) on a uniform grid."""
     check_render_settings(f_min, f_max, points, linewidth)
+    check_bytes(f"render of {points} points", RENDER_BYTES * points)
     lw2 = linewidth**2
     freqs = np.linspace(f_min, f_max, points)
     values = np.zeros_like(freqs)
     term = np.empty_like(freqs)
     # One line at a time through one buffer: a lines x points block was no
     # faster and multiplies peak memory.
-    line_freqs, amplitudes = lines.frequencies.tolist(), lines.amplitudes.tolist()
-    for frequency, amplitude in zip(line_freqs, amplitudes):
+    for frequency, amplitude in zip(lines.frequencies, lines.amplitudes):
         np.subtract(freqs, frequency, out=term)
         np.multiply(term, term, out=term)
         np.add(term, lw2, out=term)
@@ -606,6 +626,10 @@ def line_table(lines: Multiplet, system: SpinSystem, n: int) -> str:
     A line that does not match exactly one configuration is labelled "?".
     """
     positions = _positions(system, n)
+    freq_field = _widest("%12.4f", lines.frequencies)
+    amp_field = _widest("%+.6f", lines.amplitudes)
+    per_line = line_text_bytes(n, freq_field, amp_field)
+    check_bytes(f"line table of {len(lines)} lines", per_line * len(lines))
     order = np.argsort(lines.frequencies, kind="stable")
     line_freqs, amplitudes = lines.frequencies[order], lines.amplitudes[order]
     configs, hits = _match(positions, line_freqs, _default_tolerance(positions))
@@ -617,12 +641,54 @@ def line_table(lines: Multiplet, system: SpinSystem, n: int) -> str:
     )
 
 
+def line_text_bytes(n: int, freq_field: int = 12, amp_field: int = 9) -> int:
+    """Bytes per line of line_table at its peak, with the frequency and
+    amplitude fields this wide (the narrowest by default): five 8-byte
+    arrays (order, sorted frequencies and amplitudes, matched configuration
+    and hit count), two float objects and their list slots (64), a label
+    string of at most n + 64 bytes and its slot, and the formatting."""
+    text = freq_field + 1 + amp_field + 1 + n + 1
+    return 40 + 64 + (n + 72) + _format_row_bytes(3, len("%12.4f %+.6f %s\n"), text)
+
+
+def trace_bytes(f_min: float, f_max: float, points: int) -> int:
+    """Bytes of render on this grid and trace_csv of its result at their
+    peak: render's grid, sum and buffer, of which the first two are held
+    through trace_csv, and trace_csv's own.  The %.6f frequency field is
+    widest at a grid end."""
+    return points * (RENDER_BYTES + _csv_row_bytes(_widest("%.6f", (f_min, f_max))))
+
+
+def _csv_row_bytes(freq_field: int) -> int:
+    """Bytes per point of trace_csv with its frequency field this wide: two
+    float objects and their list slots (64) and the formatting of a row
+    whose %.9g value takes at most 16 characters."""
+    return 64 + _format_row_bytes(2, len("%.6f,%.9g\n"), freq_field + 1 + 16 + 1)
+
+
 def trace_csv(freqs: np.ndarray, values: np.ndarray) -> str:
+    freqs = np.asarray(freqs, dtype=float)
+    per_point = _csv_row_bytes(_widest("%.6f", freqs))
+    check_bytes(f"trace CSV of {freqs.size} points", per_point * freqs.size)
     return _format_rows(
-        "%.6f,%.9g\n",
-        np.asarray(freqs, dtype=float).tolist(),
-        np.asarray(values, dtype=float).tolist(),
+        "%.6f,%.9g\n", freqs.tolist(), np.asarray(values, dtype=float).tolist()
     )
+
+
+def _widest(fmt: str, values) -> int:
+    """Characters of the widest `fmt` field over values, which is at the
+    least or the greatest; NaN prints narrower than any such field."""
+    values = np.asarray(values, dtype=float)
+    if not values.size:
+        return 0
+    return max(len(fmt % np.fmin.reduce(values)), len(fmt % np.fmax.reduce(values)))
+
+
+def _format_row_bytes(columns: int, template: int, text: int) -> int:
+    """Bytes per row of _format_rows: the cells list and tuple (8 each per
+    cell), the repeated template, and the text, of which the %-format's
+    writer may hold a quarter more before it trims."""
+    return 16 * columns + template + text * 5 // 4 + 1
 
 
 def _format_rows(row: str, *columns: list) -> str:

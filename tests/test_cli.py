@@ -84,14 +84,14 @@ class TestSolve:
     def test_width_64_via_spectrum_matches_oracle(self, capsys):
         formula = generate_random_ksat(12, 51, 3, seed=7)
         argv = ["solve", "--dimacs", to_dimacs(formula), "--via-spectrum", "--json"]
-        assert main(argv + ["--width-cap", "100"]) == 0
+        assert main(argv) == 0
         data = json.loads(capsys.readouterr().out)
         oracle = [a.bitstring() for a in brute_force_solutions(formula)]
         assert data["solutions"] == data["spectral_solutions"] == oracle
         assert data["paths_agree"] is True
 
     def test_wide_unit_conjunction(self, capsys):
-        assert main(["solve", "--dimacs", WIDE_UNIT, "--width-cap", "100"]) == 0
+        assert main(["solve", "--dimacs", WIDE_UNIT]) == 0
         assert capsys.readouterr().out == "1 solution: 1\n"
 
 
@@ -121,7 +121,7 @@ class TestCompile:
     @pytest.mark.parametrize("extra", [[], ["--uncompute"]])
     def test_width_cap_above_default(self, extra, capsys):
         text = to_dimacs(generate_random_ksat(10, 23, 3, seed=4))
-        assert main(["compile", "--dimacs", text, "--width-cap", "100"] + extra) == 0
+        assert main(["compile", "--dimacs", text] + extra) == 0
         out = capsys.readouterr().out
         assert out.startswith("qbc 34 10 23")
         assert "elementary C-NOT: 201" in out  # 3(3m-2) at m=23
@@ -292,6 +292,22 @@ class TestRandom:
 WIDE_UNIT = "p cnf 1 63\n" + "1 0\n" * 63  # width 65: past an int64 basis index
 TWO_VARS = "p cnf 2 1\n1 -2 0\n"
 NEAR_TWINS = "p cnf 2 1\n1 2 0\n"
+# One run per byte count past sim.MAX_BYTES: (subcommand and flags, input).
+# Each is refused before it allocates; a spectral run before anything is
+# simulated and before its spin system is built.
+OVER_BOUND = {
+    "state": ("solve", "p cnf 40 1\n1 0"),
+    "table": ("spectrum", "p cnf 40 1\n1 0"),
+    "table-n100": ("spectrum", "p cnf 100 1\n1 0"),
+    "table-via-spectrum": ("solve --via-spectrum", "p cnf 26 1\n1 0"),
+    "line-text": ("spectrum", "p cnf 22 1\n1 0"),
+    "json-lines": ("spectrum --json", "p cnf 21 1\n1 0"),
+    "trace": ("spectrum --trace {tmp}/t.csv --grid=-1,1,1000000000000000", PAPER_1SAT),
+    "solutions": ("solve", "p cnf 23 1\n1 -1 0"),  # a tautology: 2^23 solutions
+    "n-1e12-solve": ("solve", "p cnf 1000000000000 1\n1 0"),
+    "n-1e12-spectrum": ("spectrum", "p cnf 1000000000000 1\n1 0"),
+}
+SIMULATED_OVER_BOUND = ("state", "solutions", "n-1e12-solve")
 SPIN_BASE = {  # resolvable for TWO_VARS; the observed spin is the last one
     "names": ["A", "B", "W"],
     "shifts": [0.0, 0.0, 0.0],
@@ -365,8 +381,7 @@ NON_FINITE_TRACE_SETTINGS = {
         ["random", "3", "2", "2", "-o", "{tmp}/missing/r.cnf"],
         ["verify", "--dimacs", "p cnf 25 1\n1 2 0"],
         ["verify", "--corpus", "0"],
-        ["compile", "--width-cap", "3", "--dimacs", "p cnf 5 1\n1 2 0"],
-        ["compile", "--width-cap", "3", "--dimacs", "p cnf 5 2\n1 0\n3 0"],
+        *([*command.split(), "--dimacs", text] for command, text in OVER_BOUND.values()),
         *(
             ["spectrum", "--dimacs", TWO_VARS, "--spin-system", f"{{tmp}}/{name}.json"]
             for name in BAD_SPIN_FILES
@@ -392,8 +407,7 @@ NON_FINITE_TRACE_SETTINGS = {
         "random-o",
         "verify-n25",
         "verify-corpus-0",
-        "compile-cap-clause",
-        "compile-cap-units",
+        *(f"bound-{name}" for name in OVER_BOUND),
         *(f"spin-{name}" for name in BAD_SPIN_FILES),
         "solve-min-sep-0",
         "spectrum-min-sep-neg",
@@ -420,6 +434,41 @@ def test_failures_exit_2_with_one_line(argv, tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("name", OVER_BOUND)
+def test_over_bound_names_the_bytes_before_allocating(name, tmp_path, capsys, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("reached past the byte check")
+
+    monkeypatch.setattr(cli.spec, "synthetic_system", unreachable)
+    if name not in SIMULATED_OVER_BOUND:
+        monkeypatch.setattr(cli.sim, "run", unreachable)
+    command, text = OVER_BOUND[name]
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in command.split()]
+    assert main([*argv, "--dimacs", text]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert re.fullmatch(
+        r"error: (simulation error: )?[^\n]+ needs [0-9]+( x 2\^[0-9]+)? bytes, "
+        r"over the 1073741824-byte bound\n",
+        err,
+    )
+    assert "min-separation" not in err
+    assert not (tmp_path / "t.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["solve --via-spectrum", "spectrum", "verify"])
+def test_only_the_min_separation_check_carries_its_label(command, capsys, monkeypatch):
+    def refuse(system, n, min_separation):
+        raise ValueError("line-position table at n=2 needs 128 bytes")
+
+    monkeypatch.setattr(cli.spec, "check_resolvable", refuse)
+    assert main([*command.split(), "--dimacs", TWO_VARS]) == 2
+    assert capsys.readouterr().err == "error: line-position table at n=2 needs 128 bytes\n"
+    argv = [*command.split(), "--dimacs", TWO_VARS, "--min-separation", "0"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: bad --min-separation: ")
 
 
 @pytest.mark.parametrize("command", ["solve --via-spectrum", "spectrum", "verify"])
@@ -518,10 +567,9 @@ def test_compile_compiles_once(extra, capsys, compile_calls):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["--dimacs", PAPER_3SAT, "--width-cap", "5"], "width 7 exceeds cap 5"),
         (["--dimacs", TWO_VARS, "--spin-system", "{tmp}/flat.json"], "resolvable"),
     ],
-    ids=["width-cap", "unresolvable"],
+    ids=["unresolvable"],
 )
 def test_verify_input_errors_exit_2(argv, message, tmp_path, capsys):
     flat = {**SPIN_BASE, "couplings": [[0, 0, 20], [0, 0, 20], [20, 20, 0]]}
@@ -531,6 +579,17 @@ def test_verify_input_errors_exit_2(argv, message, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and message in captured.err
+
+
+def test_verify_over_bound_exits_2(capsys, monkeypatch):
+    # verify's oracle stops at 24 variables, below every default bound
+    monkeypatch.setattr(cli.sim, "MAX_BYTES", 200)
+    assert main(["verify", "--dimacs", PAPER_3SAT]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: line-position table at n=3 needs 256 bytes, over the 200-byte bound\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -51,8 +51,8 @@ class TestDenseView:
             state.populations
 
     def test_bound_is_the_view_size(self, monkeypatch):
-        assert 8 << 24 <= sim.DENSE_VIEW_MAX_BYTES  # widths up to 24 are read
-        monkeypatch.setattr(sim, "DENSE_VIEW_MAX_BYTES", 8 << 3)
+        assert 8 << 24 <= sim.MAX_BYTES  # widths up to 24 are read
+        monkeypatch.setattr(sim, "MAX_BYTES", 8 << 3)
         assert initial_mixed_state(QubitLayout(2, 0)).populations.size == 8
         with pytest.raises(ValueError, match="width 4 needs 128 bytes"):
             initial_mixed_state(QubitLayout(2, 1)).populations
@@ -367,8 +367,8 @@ class TestOracleEquivalence:
     @example(11, 5.0, 1)  # width 67
     def test_random_3sat_past_63_wires(self, n, ratio, seed):
         formula = generate_random_ksat(n, round(ratio * n), 3, seed=seed)
-        circuit = compile_auto(formula, width_cap=100)
-        report = true_space(run(circuit, width_cap=100), circuit.layout)
+        circuit = compile_auto(formula)
+        report = true_space(run(circuit), circuit.layout)
         assert report.true_space == brute_force_solutions(formula)
 
 

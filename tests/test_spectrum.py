@@ -1019,7 +1019,7 @@ class TestCertifiedDecode:
         monkeypatch.setattr(spectrum, "_match", unreachable)
         formula = generate_random_ksat(16, 68, 3, seed=1)
         argv = ["solve", "--dimacs", to_dimacs(formula), "--via-spectrum", "--json"]
-        argv += ["--spin-system", "synthetic", "--width-cap", "100"]
+        argv += ["--spin-system", "synthetic"]
         assert cli.main(argv) == 0
         summary = json.loads(capsys.readouterr().out)
         oracle = [a.bitstring() for a in brute_force_solutions(formula)]

@@ -92,37 +92,57 @@ class QubitLayout:
         return tuple(range(self.num_vars + 1, self.width))
 
 
-@dataclass(frozen=True)
+# A circuit is stored as plain steps, a wire for each Not and (controls,
+# target) for each Mcx: cheap to build, to compare and to walk, so the
+# compiler, peephole, text, census and simulator never build gate objects.
+Step = int | tuple[frozenset[int], int]
+
+
+@dataclass(frozen=True, init=False)
 class Circuit:
-    """Gates applied in order to the wires of layout; the constructor checks
-    every gate against the layout's width."""
+    """Gates applied in order to the wires of layout, stored as steps.
+
+    Circuit(layout, gates) checks every gate against the layout's width and
+    hands back the gates it was given.  A circuit the compiler built holds
+    only steps; its Not and Mcx objects are built once, the first time
+    `gates` is read, one Not per wire and one Mcx per distinct step.
+    Equality and hashing read the steps, so both forms compare equal."""
 
     layout: QubitLayout
-    gates: tuple[Gate, ...]
+    steps: tuple[Step, ...]
 
-    def __post_init__(self) -> None:
-        width = self.layout.width
-        for gate in self.gates:
-            if gate.target >= width or (
-                isinstance(gate, Mcx) and max(gate.controls) >= width
-            ):
+    def __init__(self, layout: QubitLayout, gates: tuple[Gate, ...]) -> None:
+        gates = tuple(gates)  # a tuple is kept as given
+        width = layout.width
+        steps: list[Step] = []
+        for gate in gates:
+            if isinstance(gate, Mcx):
+                step = (gate.controls, gate.target)
+                wide = gate.target >= width or max(gate.controls) >= width
+            else:
+                step = gate.target
+                wide = step >= width
+            if wide:
                 raise ValueError(f"gate {gate} exceeds width {width}")
+            steps.append(step)
+        self.__dict__.update(layout=layout, steps=tuple(steps), _gates=gates)
+
+    @property
+    def gates(self) -> tuple[Gate, ...]:
+        gates = self.__dict__.get("_gates")
+        if gates is None:
+            gates = self.__dict__["_gates"] = tuple(_gates(self.steps))
+        return gates
 
 
-def _built(layout: QubitLayout, gates: tuple[Gate, ...]) -> Circuit:
-    """A Circuit without the width check, for builders whose gates are in
-    range by construction: compile_formula lays out its steps on a layout it
-    has just checked, and peephole_cancel and append_uncompute only drop,
-    reorder or repeat the gates of a circuit of the same layout."""
+def _built(layout: QubitLayout, steps: tuple[Step, ...]) -> Circuit:
+    """A Circuit of steps, without the width check, for builders whose steps
+    are in range by construction: the compile paths lay out their steps on a
+    layout they have just checked, and peephole_cancel and append_uncompute
+    only drop, reorder or repeat the steps of a circuit of the same layout."""
     circuit = object.__new__(Circuit)
-    circuit.__dict__.update(layout=layout, gates=gates)
+    circuit.__dict__.update(layout=layout, steps=steps)
     return circuit
-
-
-# A compile first lays out its circuit as plain steps, a wire for each Not and
-# (controls, target) for each Mcx: cheap to build and to compare, so
-# append_uncompute checks its input against them without building gates.
-Step = int | tuple[frozenset[int], int]
 
 
 def compile_clause(
@@ -171,18 +191,16 @@ def _block_plan(clause: Clause, layout: QubitLayout, scratch: int) -> list[Step]
     return [scratch] if negated is None else _or_plan(negated, layout, scratch)
 
 
-def _gates(plan: list[Step]) -> list[Gate]:
-    """The gates of a plan, with one Not object per wire shared by its steps."""
-    nots: dict[int, Not] = {}
+def _gates(steps) -> list[Gate]:
+    """The gates of some steps: equal steps share one gate object, so there
+    is one Not per wire and one Mcx per distinct (controls, target)."""
+    built: dict[Step, Gate] = {}
     gates: list[Gate] = []
-    for step in plan:
-        if type(step) is tuple:
-            gates.append(Mcx(*step))
-        else:
-            gate = nots.get(step)
-            if gate is None:
-                gate = nots[step] = Not(step)
-            gates.append(gate)
+    for step in steps:
+        gate = built.get(step)
+        if gate is None:
+            gate = built[step] = Mcx(*step) if type(step) is tuple else Not(step)
+        gates.append(gate)
     return gates
 
 
@@ -205,19 +223,28 @@ def _check_cap(layout: QubitLayout, width_cap: int | None) -> None:
         raise CompileError(f"width {layout.width} exceeds cap {width_cap}")
 
 
-def _formula_plan(
-    formula: CnfFormula, layout: QubitLayout
-) -> tuple[list[Step], list[int]]:
-    """Steps of the general path's circuit, and the offset of each clause
-    block in them followed by the offset of the final AND."""
-    plan: list[Step] = []
+def _general_plan(
+    formula: CnfFormula, width_cap: int | None
+) -> tuple[QubitLayout, tuple[Step, ...], tuple[int, ...]]:
+    """The general path's layout, its steps, and the offset of each clause
+    block in them followed by the offset of the final AND.  Planned on the
+    first call for a formula and kept in its _plan field, so a later compile
+    or uncompute of the same object only checks width_cap."""
+    plan = formula._plan
+    if plan is not None:
+        _check_cap(plan[0], width_cap)
+        return plan
+    layout = _general_layout(formula, width_cap)
+    steps: list[Step] = []
     starts: list[int] = []
     for mu, clause in enumerate(formula.clauses, start=1):
-        starts.append(len(plan))
-        plan += _block_plan(clause, layout, layout.scratch_wire(mu))
-    starts.append(len(plan))
-    plan.append((frozenset(layout.scratch_wires), layout.work_wire))
-    return plan, starts
+        starts.append(len(steps))
+        steps += _block_plan(clause, layout, layout.scratch_wire(mu))
+    starts.append(len(steps))
+    steps.append((frozenset(layout.scratch_wires), layout.work_wire))
+    plan = (layout, tuple(steps), tuple(starts))
+    object.__setattr__(formula, "_plan", plan)
+    return plan
 
 
 def compile_formula(formula: CnfFormula, width_cap: int | None = None) -> Circuit:
@@ -225,9 +252,8 @@ def compile_formula(formula: CnfFormula, width_cap: int | None = None) -> Circui
     wires onto the work wire.  Maps |x>|0>|0..0> to |x>|F(x)>|C_m(x)..C_1(x)>.
     A circuit wider than width_cap, when one is given, is a CompileError.
     """
-    layout = _general_layout(formula, width_cap)
-    plan, _ = _formula_plan(formula, layout)
-    return _built(layout, tuple(_gates(plan)))
+    layout, steps, _ = _general_plan(formula, width_cap)
+    return _built(layout, steps)
 
 
 def compile_1sat(formula: CnfFormula) -> Circuit:
@@ -248,9 +274,9 @@ def compile_1sat(formula: CnfFormula) -> Circuit:
     if len(set(seen_vars)) != len(seen_vars):
         raise CompileError("repeated or contradictory unit clauses")
     layout = QubitLayout(formula.num_vars, 0)
-    layer = tuple(Not(layout.var_wire(l.var)) for l in literals if l.negated)
+    layer: list[Step] = [layout.var_wire(l.var) for l in literals if l.negated]
     controls = frozenset(layout.var_wire(l.var) for l in literals)
-    return Circuit(layout, layer + (Mcx(controls, layout.work_wire),) + layer)
+    return _built(layout, tuple(layer + [(controls, layout.work_wire)] + layer))
 
 
 def compile_single_clause(clause: Clause, num_vars: int) -> Circuit:
@@ -263,8 +289,7 @@ def compile_single_clause(clause: Clause, num_vars: int) -> Circuit:
     if negated is None:
         raise CompileError("tautological clause has no single-clause form")
     layout = QubitLayout(num_vars, 0)
-    plan = _or_plan(negated, layout, layout.work_wire)
-    return Circuit(layout, tuple(_gates(plan)))
+    return _built(layout, tuple(_or_plan(negated, layout, layout.work_wire)))
 
 
 def peephole_cancel(circuit: Circuit) -> Circuit:
@@ -276,23 +301,24 @@ def peephole_cancel(circuit: Circuit) -> Circuit:
     run of NOTs between two MCX gates is thus reduced modulo 2, keeping the
     run's last NOT when it is odd.  Never changes the circuit's permutation.
     """
-    out: list[Gate | None] = []
+    out: list[Step | None] = []
     pending: dict[int, int] = {}
-    for gate in circuit.gates:
-        if isinstance(gate, Not):
-            slot = pending.pop(gate.target, None)
+    for step in circuit.steps:
+        if type(step) is tuple:
+            controls, target = step
+            pending.pop(target, None)
+            for control in controls:
+                pending.pop(control, None)
+            out.append(step)
+        else:
+            slot = pending.pop(step, None)
             if slot is None:
-                pending[gate.target] = len(out)
-                out.append(gate)
+                pending[step] = len(out)
+                out.append(step)
             else:
                 out[slot] = None
-        else:
-            pending.pop(gate.target, None)
-            for control in gate.controls:
-                pending.pop(control, None)
-            out.append(gate)
     # from a list, so the tuple is allocated at its final size (see cli.main)
-    return _built(circuit.layout, tuple([gate for gate in out if gate is not None]))
+    return _built(circuit.layout, tuple([step for step in out if step is not None]))
 
 
 def append_uncompute(circuit: Circuit, formula: CnfFormula) -> Circuit:
@@ -301,21 +327,13 @@ def append_uncompute(circuit: Circuit, formula: CnfFormula) -> Circuit:
     Each clause block is its own inverse, so the appended tail undoes the
     scratch computation while the copied work-bit result survives.
     """
-    layout = _general_layout(formula, width_cap=circuit.layout.width)
-    plan, starts = _formula_plan(formula, layout)
-    gates = circuit.gates
-    # Each gate as the step that builds it; a gate of any other type is None.
-    steps = [
-        gate.target if type(gate) is Not
-        else (gate.controls, gate.target) if type(gate) is Mcx
-        else None
-        for gate in gates
-    ]
-    if layout != circuit.layout or not isinstance(gates, tuple) or steps != plan:
+    layout, steps, starts = _general_plan(formula, circuit.layout.width)
+    if layout != circuit.layout or circuit.steps != steps:
         raise CompileError("circuit was not produced by compile_formula(formula)")
-    blocks = list(zip(starts, starts[1:]))
-    tail = [gate for start, end in reversed(blocks) for gate in gates[start:end]]
-    return _built(circuit.layout, gates + tuple(tail))
+    out = list(steps)
+    for start, end in reversed(list(zip(starts, starts[1:]))):
+        out += steps[start:end]
+    return _built(layout, tuple(out))
 
 
 def compile_auto(formula: CnfFormula, width_cap: int | None = None) -> Circuit:
@@ -333,9 +351,9 @@ def compile_auto(formula: CnfFormula, width_cap: int | None = None) -> Circuit:
 def _pick_path(formula: CnfFormula, width_cap: int | None) -> Circuit:
     layout = QubitLayout(formula.num_vars)
     if not formula.clauses:
-        return Circuit(layout, (Not(layout.work_wire),))
+        return _built(layout, (layout.work_wire,))
     if not all(clause.literals for clause in formula.clauses):
-        return Circuit(layout, ())
+        return _built(layout, ())
     try:
         return compile_1sat(formula)
     except CompileError:
@@ -436,11 +454,12 @@ class GateCounts:
 def circuit_census(circuit: Circuit) -> tuple[dict[int, int], int]:
     mcx_by_arity: dict[int, int] = {}
     not_count = 0
-    for gate in circuit.gates:
-        if isinstance(gate, Not):
-            not_count += 1
+    for step in circuit.steps:
+        if type(step) is tuple:
+            arity = len(step[0])
+            mcx_by_arity[arity] = mcx_by_arity.get(arity, 0) + 1
         else:
-            mcx_by_arity[gate.arity] = mcx_by_arity.get(gate.arity, 0) + 1
+            not_count += 1
     return mcx_by_arity, not_count
 
 
@@ -465,8 +484,8 @@ def gate_counts(circuit: Circuit) -> GateCounts:
     num_vars = circuit.layout.num_vars
     var_nots = sum(
         1
-        for gate in circuit.gates
-        if isinstance(gate, Not) and 1 <= gate.target <= num_vars
+        for step in circuit.steps
+        if type(step) is not tuple and 1 <= step <= num_vars
     )
     or_path = var_nots < not_count
 
@@ -497,17 +516,18 @@ def circuit_to_text(circuit: Circuit) -> str:
     controls in increasing order."""
     layout = circuit.layout
     lines = [f"qbc {layout.width} {layout.num_vars} {layout.num_scratch}"]
-    # A compile shares gate objects (one Not per wire, each clause block twice
-    # after uncompute), so each distinct object is formatted once per call.
-    formatted: dict[int, str] = {}
-    for gate in circuit.gates:
-        line = formatted.get(id(gate))
+    # A compile repeats steps (NOTs on the same wire, each clause block twice
+    # after uncompute), so each distinct step is formatted once per call.
+    formatted: dict[Step, str] = {}
+    for step in circuit.steps:
+        line = formatted.get(step)
         if line is None:
-            if isinstance(gate, Not):
-                line = f"x {gate.target}"
+            if type(step) is tuple:
+                controls, target = step
+                line = f"mcx {','.join(map(str, sorted(controls)))} {target}"
             else:
-                line = f"mcx {','.join(map(str, sorted(gate.controls)))} {gate.target}"
-            formatted[id(gate)] = line
+                line = f"x {step}"
+            formatted[step] = line
         lines.append(line)
     lines.append("")
     return "\n".join(lines)
@@ -540,17 +560,12 @@ def circuit_from_text(text: str) -> Circuit:
 
 def circuit_to_dict(circuit: Circuit) -> dict:
     gates = []
-    for gate in circuit.gates:
-        if isinstance(gate, Not):
-            gates.append({"gate": "x", "target": gate.target})
+    for step in circuit.steps:
+        if type(step) is tuple:
+            controls, target = step
+            gates.append({"gate": "mcx", "controls": sorted(controls), "target": target})
         else:
-            gates.append(
-                {
-                    "gate": "mcx",
-                    "controls": sorted(gate.controls),
-                    "target": gate.target,
-                }
-            )
+            gates.append({"gate": "x", "target": step})
     return {
         "width": circuit.layout.width,
         "num_vars": circuit.layout.num_vars,

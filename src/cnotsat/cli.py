@@ -130,7 +130,7 @@ def _compile(
     except circ.CompileError as exc:
         raise CliError(f"compile error: {exc}") from exc
     if getattr(args, "inject_fault", False):
-        raw = circ.Circuit(raw.layout, raw.gates + (circ.Not(raw.layout.work_wire),))
+        raw = circ._built(raw.layout, raw.steps + (raw.layout.work_wire,))
     return forward, raw, raw if args.no_peephole else circ.peephole_cancel(raw)
 
 

@@ -7,7 +7,7 @@ so "110" means x3=1, x2=1, x1=0.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 EXHAUSTIVE_LIMIT = 24
 
@@ -68,6 +68,10 @@ class CnfFormula:
 
     num_vars: int
     clauses: tuple[Clause, ...]
+    # The general-path circuit plan, kept by `circuit` on the first compile
+    # of this object; like a SpinSystem's line-position tables it takes no
+    # part in equality, hashing or repr.
+    _plan: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for clause in self.clauses:

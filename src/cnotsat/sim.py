@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, Not, QubitLayout
+from .circuit import Circuit, QubitLayout
 from .cnf import Assignment
 
 MAX_BYTES = 1 << 30
@@ -223,12 +223,14 @@ def initial_mixed_state(layout: QubitLayout) -> PopulationState:
 def run(circuit: Circuit) -> PopulationState:
     planes = _initial_planes(circuit.layout)
     scratch = np.empty(planes.shape[1], dtype=np.uint8)
-    for gate in circuit.gates:  # every wire of a Circuit is within its width
-        target = planes[gate.target]
-        if isinstance(gate, Not):
+    for step in circuit.steps:  # every wire of a Circuit is within its width
+        if type(step) is not tuple:
+            target = planes[step]
             np.invert(target, out=target)
             continue
-        first, *rest = gate.controls
+        controls, wire = step
+        target = planes[wire]
+        first, *rest = controls
         control = planes[first]
         if rest:
             control = np.bitwise_and(control, planes[rest[0]], out=scratch)

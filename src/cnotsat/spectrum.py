@@ -426,13 +426,15 @@ def render(
     values = np.zeros_like(freqs)
     term = np.empty_like(freqs)
     # One line at a time through one buffer: a lines x points block was no
-    # faster and multiplies peak memory.
-    for frequency, amplitude in zip(lines.frequencies, lines.amplitudes):
-        np.subtract(freqs, frequency, out=term)
-        np.multiply(term, term, out=term)
-        np.add(term, lw2, out=term)
-        np.divide(amplitude * lw2, term, out=term)
-        np.add(values, term, out=values)
+    # faster and multiplies peak memory.  A distance past about 1.3e154 Hz
+    # squares to inf, and its term is then 0, which is the right value.
+    with np.errstate(over="ignore"):
+        for frequency, amplitude in zip(lines.frequencies, lines.amplitudes):
+            np.subtract(freqs, frequency, out=term)
+            np.multiply(term, term, out=term)
+            np.add(term, lw2, out=term)
+            np.divide(amplitude * lw2, term, out=term)
+            np.add(values, term, out=values)
     return freqs, values
 
 

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from cnotsat import Clause, CnfFormula, Literal, parse_dimacs
+from cnotsat import Circuit, Clause, CnfFormula, Literal, Mcx, Not, QubitLayout, parse_dimacs
 
 PAPER_3SAT = "p cnf 3 3\n1 2 3 0\n1 2 -3 0\n-1 2 3 0\n"
 PAPER_1SAT = "p cnf 3 3\n-1 0\n2 0\n3 0\n"  # not-x1 and x2 and x3
@@ -50,3 +50,17 @@ def random_formula(rng: random.Random, n: int, m: int, max_k: int) -> CnfFormula
         )
         clauses.append(Clause(lits))
     return CnfFormula(n, tuple(clauses))
+
+
+def random_circuit(seed: int, width: int = 8, max_gates: int = 50) -> Circuit:
+    rng = random.Random(seed)
+    gates = []
+    for _ in range(rng.randint(0, max_gates)):
+        if rng.random() < 0.5:
+            gates.append(Not(rng.randrange(width)))
+        else:
+            target = rng.randrange(width)
+            pool = [w for w in range(width) if w != target]
+            controls = rng.sample(pool, rng.randint(1, min(3, len(pool))))
+            gates.append(Mcx(frozenset(controls), target))
+    return Circuit(QubitLayout(width - 1, 0), tuple(gates))

@@ -30,27 +30,13 @@ from cnotsat import (
     to_dimacs,
 )
 from cnotsat.circuit import circuit_census, circuit_to_dict
-from conftest import random_formula
+from conftest import random_circuit, random_formula
 
 
 def gate_wires(gate) -> frozenset[int]:
     if isinstance(gate, Not):
         return frozenset((gate.target,))
     return gate.controls | {gate.target}
-
-
-def random_circuit(seed: int, width: int = 8, max_gates: int = 50) -> Circuit:
-    rng = random.Random(seed)
-    gates = []
-    for _ in range(rng.randint(0, max_gates)):
-        if rng.random() < 0.5:
-            gates.append(Not(rng.randrange(width)))
-        else:
-            target = rng.randrange(width)
-            pool = [w for w in range(width) if w != target]
-            controls = rng.sample(pool, rng.randint(1, min(3, len(pool))))
-            gates.append(Mcx(frozenset(controls), target))
-    return Circuit(QubitLayout(width - 1, 0), tuple(gates))
 
 
 def fixpoint_sweep(circuit: Circuit) -> Circuit:

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from cnotsat import (
     CnfFormula,
     DimacsError,
     Literal,
+    Mcx,
     brute_force_solutions,
     circuit_from_text,
     circuit_to_text,
@@ -152,6 +154,32 @@ class TestCompile:
         assert counts["not_count"] == counts["not_count_before_peephole"] == nots
         assert counts["elementary_single"] == forward.elementary_single
 
+    @pytest.mark.parametrize("shape", ["30 250 3", "8 12 3"])
+    def test_uncomputed_circuit_matches_the_reference(self, shape, tmp_path, capsys):
+        assert main(["random", *shape.split(), "--seed", "1"]) == 0
+        text = capsys.readouterr().out
+        formula = parse_dimacs(text)
+        width = formula.num_vars + formula.num_clauses + 1
+        forward = reference_front_end.compile_formula(formula, width)
+        expected = peephole_cancel(reference_front_end.append_uncompute(forward, formula))
+        out_path = tmp_path / "circuit.qbc"
+        assert main(["compile", "--dimacs", text, "--uncompute", "-o", str(out_path)]) == 0
+        assert out_path.read_text() == reference_front_end.circuit_to_text(expected)
+        capsys.readouterr()
+        assert main(["compile", "--dimacs", text, "--json", "--uncompute"]) == 0
+        doc = json.loads(capsys.readouterr().out)["circuit"]
+        assert doc["gates"] == [
+            {"gate": "mcx", "controls": sorted(gate.controls), "target": gate.target}
+            if isinstance(gate, Mcx)
+            else {"gate": "x", "target": gate.target}
+            for gate in expected.gates
+        ]
+        assert (doc["width"], doc["num_vars"], doc["num_scratch"]) == (
+            width,
+            formula.num_vars,
+            formula.num_clauses,
+        )
+
 
 class TestSpectrum:
     def test_worked_1sat_table(self, capsys):
@@ -222,6 +250,32 @@ class TestSpectrum:
         assert code == 2
         assert "not resolvable" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "extra",
+        [["--grid=-1e200,1e200,5"], ["--spin-system", "{tmp}/far.json"]],
+        ids=["far-grid", "far-lines"],
+    )
+    def test_trace_far_from_every_line_is_zero_and_silent(self, extra, tmp_path, capsys):
+        """A grid point more than about 1.3e154 Hz from a line squares its
+        distance to inf: the term is 0, and no overflow warning is printed."""
+        system = {  # lines at +-5e307 Hz, far outside the default grid
+            "names": ["W", "A"],
+            "shifts": [0.0, 0.0],
+            "observed": 0,
+            "couplings": [[0, 1e308], [1e308, 0]],
+            "variable_qubits": ["A"],
+        }
+        (tmp_path / "far.json").write_text(json.dumps(system))
+        trace = tmp_path / "t.csv"
+        argv = ["spectrum", "--dimacs", "p cnf 1 1\n1 0", "--trace", str(trace)]
+        argv += [arg.replace("{tmp}", str(tmp_path)) for arg in extra]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 0
+        assert capsys.readouterr().err == ""
+        values = [float(row.split(",")[1]) for row in trace.read_text().splitlines()]
+        assert values and all(value == 0 for value in values)
+
 
 class TestVerify:
     def test_corpus_passes(self, capsys):
@@ -234,7 +288,10 @@ class TestVerify:
 
     def test_fault_injection_detected(self, paper_file, capsys):
         assert main(["verify", paper_file, "--inject-fault"]) == 1
-        assert "FAIL" in capsys.readouterr().out
+        assert capsys.readouterr().out == (
+            f"FAIL {paper_file}: direct readout ('000', '001', '100') != oracle "
+            "('010', '011', '101', '110', '111')\n"
+        )
 
     def test_inline_formula_is_checked(self, capsys):
         assert main(["verify", "--dimacs", PAPER_3SAT]) == 0

@@ -19,6 +19,7 @@ from cnotsat import (
     circuit_from_text,
     circuit_to_text,
     compile_1sat,
+    compile_auto,
     compile_clause,
     compile_formula,
     compile_single_clause,
@@ -27,7 +28,8 @@ from cnotsat import (
     peephole_cancel,
     to_dimacs,
 )
-from conftest import random_formula
+from cnotsat import circuit as circ
+from conftest import random_circuit, random_formula
 import reference_front_end as ref
 
 
@@ -91,6 +93,10 @@ def test_one_not_per_wire_within_a_compile():
     gates = compile_formula(formula).gates
     nots = [gate for gate in gates if isinstance(gate, Not)]
     assert len({id(gate) for gate in nots}) == len({gate.target for gate in nots})
+    # the uncompute tail repeats each clause block's Mcx object
+    gates = append_uncompute(compile_formula(formula), formula).gates
+    mcxs = [gate for gate in gates if isinstance(gate, Mcx)]
+    assert len({id(gate) for gate in mcxs}) == len(set(mcxs)) == 4
 
 
 # -- DIMACS text -------------------------------------------------------------
@@ -269,3 +275,96 @@ def test_uncompute_rejects_what_compile_formula_did_not_produce(case):
         result = same_outcome(append_uncompute, ref.append_uncompute, impostor, formula)
         if impostor != circuit:  # a flip inside a tautology can leave it unchanged
             assert result[0] == "raised", name
+
+
+# -- steps and gates ---------------------------------------------------------
+
+
+def assert_forms_agree(circuit: Circuit) -> None:
+    """A circuit's steps and its gate objects describe one circuit."""
+    gates = circuit.gates
+    assert type(gates) is tuple and gates is circuit.gates  # built once
+    rebuilt = Circuit(circuit.layout, gates)
+    assert rebuilt == circuit and hash(rebuilt) == hash(circuit)
+    assert rebuilt.gates is gates  # a circuit of gate objects hands them back
+    listed = Circuit(circuit.layout, list(gates)).gates
+    assert len(listed) == len(gates) and all(a is b for a, b in zip(listed, gates))
+    assert circuit_from_text(circuit_to_text(circuit)) == circuit
+    assert circuit.steps == tuple(
+        (gate.controls, gate.target) if isinstance(gate, Mcx) else gate.target
+        for gate in gates
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(general_formulas(), st.integers(0, 2**32 - 1))
+def test_steps_and_gates_agree(formula, seed):
+    forward = compile_formula(formula)
+    uncomputed = append_uncompute(forward, formula)
+    for circuit in (
+        random_circuit(seed),
+        compile_auto(formula),
+        forward,
+        uncomputed,
+        peephole_cancel(uncomputed),
+    ):
+        assert_forms_agree(circuit)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shared_gate_circuits())
+def test_gate_circuits_keep_their_gates(circuit):
+    assert_forms_agree(circuit)
+    assert_forms_agree(peephole_cancel(circuit))
+
+
+class Counter:
+    """Wraps a function and counts its calls."""
+
+    def __init__(self, fn):
+        self.fn, self.calls = fn, 0
+
+    def __call__(self, *args):
+        self.calls += 1
+        return self.fn(*args)
+
+
+def test_uncompute_plans_the_formula_once(monkeypatch):
+    plans = Counter(circ._block_plan)
+    monkeypatch.setattr(circ, "_block_plan", plans)
+    formula = generate_random_ksat(8, 12, 3, seed=3)
+    width = QubitLayout(8, 12).width
+    forward = compile_formula(formula)
+    uncomputed = append_uncompute(forward, formula)
+    assert plans.calls == formula.num_clauses
+    assert uncomputed == ref.append_uncompute(ref.compile_formula(formula, width), formula)
+    # an equal formula that is another object, and a circuit read back from text
+    twin = CnfFormula(formula.num_vars, formula.clauses)
+    assert append_uncompute(forward, twin) == uncomputed
+    assert plans.calls == 2 * formula.num_clauses
+    read_back = circuit_from_text(circuit_to_text(forward))
+    assert append_uncompute(read_back, formula) == uncomputed
+    assert plans.calls == 2 * formula.num_clauses
+    # a planned formula still names the narrower width first
+    narrow = Circuit(QubitLayout(8, 11), ())
+    same_outcome(append_uncompute, ref.append_uncompute, narrow, formula)
+    assert outcome(append_uncompute, narrow, formula)[2] == "width 21 exceeds cap 20"
+
+
+def test_timed_path_builds_no_gate_objects(monkeypatch):
+    """parse -> compile -> uncompute -> peephole -> text at the compile-wide
+    shape plans the formula once and builds no Not or Mcx."""
+    built = Counter(lambda gate: None)
+    monkeypatch.setattr(Not, "__post_init__", lambda gate: built(gate))
+    monkeypatch.setattr(Mcx, "__post_init__", lambda gate: built(gate))
+    plans = Counter(circ._block_plan)
+    monkeypatch.setattr(circ, "_block_plan", plans)
+    formula = parse_dimacs(to_dimacs(generate_random_ksat(30, 250, 3, seed=5)))
+    width = QubitLayout(30, 250).width
+    circuit = append_uncompute(compile_formula(formula, width), formula)
+    text = circuit_to_text(peephole_cancel(circuit))
+    assert (built.calls, plans.calls) == (0, 250)
+    # read once, the gates are one Not per wire and one Mcx per distinct step
+    gates = circuit.gates
+    assert built.calls == len(set(circuit.steps)) == len({id(gate) for gate in gates})
+    assert text == ref.circuit_to_text(peephole_cancel(Circuit(circuit.layout, gates)))

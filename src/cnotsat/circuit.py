@@ -98,7 +98,7 @@ class QubitLayout:
 Step = int | tuple[frozenset[int], int]
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True, init=False, eq=False)
 class Circuit:
     """Gates applied in order to the wires of layout, stored as steps.
 
@@ -106,10 +106,14 @@ class Circuit:
     hands back the gates it was given.  A circuit the compiler built holds
     only steps; its Not and Mcx objects are built once, the first time
     `gates` is read, one Not per wire and one Mcx per distinct step.
-    Equality and hashing read the steps, so both forms compare equal."""
+    Equality and hashing read the steps, so both forms compare equal.
+
+    The fields are layout and gates, so repr, dataclasses.replace and
+    dataclasses.fields see the constructor's form; `gates` is the property
+    below, which the dataclass takes for the field's default."""
 
     layout: QubitLayout
-    steps: tuple[Step, ...]
+    gates: tuple[Gate, ...]
 
     def __init__(self, layout: QubitLayout, gates: tuple[Gate, ...]) -> None:
         gates = tuple(gates)  # a tuple is kept as given
@@ -133,6 +137,14 @@ class Circuit:
         if gates is None:
             gates = self.__dict__["_gates"] = tuple(_gates(self.steps))
         return gates
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Circuit:
+            return NotImplemented
+        return self.layout == other.layout and self.steps == other.steps
+
+    def __hash__(self) -> int:
+        return hash((self.layout, self.steps))
 
 
 def _built(layout: QubitLayout, steps: tuple[Step, ...]) -> Circuit:

@@ -3,6 +3,7 @@
 references in `reference_front_end`, gate for gate, byte for byte and
 message for message."""
 
+import dataclasses
 import random
 
 from hypothesis import example, given, settings, strategies as st
@@ -257,7 +258,6 @@ def impostors(circuit: Circuit, formula: CnfFormula, other: CnfFormula, index: i
         "mcx swapped in": Circuit(layout, gates[:i] + swapped_in[1:] + gates[i + 1 :]),
         "rotated": Circuit(layout, gates[i:] + gates[:i]),
         "wider": Circuit(QubitLayout(layout.num_vars, layout.num_scratch + 1), gates),
-        "gates in a list": Circuit(layout, list(gates)),
         "uncomputed": append_uncompute(circuit, formula),
         "other formula": compile_formula(other, width),
     }
@@ -271,6 +271,8 @@ def test_uncompute_rejects_what_compile_formula_did_not_produce(case):
     circuit = compile_formula(formula, width)
     accepted = same_outcome(append_uncompute, ref.append_uncompute, circuit, formula)
     assert accepted[0] == "returned"
+    listed = Circuit(circuit.layout, list(circuit.gates))  # equal to circuit
+    assert same_outcome(append_uncompute, ref.append_uncompute, listed, formula) == accepted
     for name, impostor in impostors(circuit, formula, other, index).items():
         result = same_outcome(append_uncompute, ref.append_uncompute, impostor, formula)
         if impostor != circuit:  # a flip inside a tautology can leave it unchanged
@@ -294,6 +296,10 @@ def assert_forms_agree(circuit: Circuit) -> None:
         (gate.controls, gate.target) if isinstance(gate, Mcx) else gate.target
         for gate in gates
     )
+    # the dataclass view is the constructor's form, as before steps
+    assert [f.name for f in dataclasses.fields(circuit)] == ["layout", "gates"]
+    assert repr(circuit) == f"Circuit(layout={circuit.layout!r}, gates={gates!r})"
+    assert dataclasses.replace(circuit, layout=circuit.layout) == circuit
 
 
 @settings(max_examples=40, deadline=None)
